@@ -74,8 +74,8 @@ def main():
                         help="timing repetitions per workload (best is kept)")
     args = parser.parse_args()
 
-    compiled_label = ("pure-python (SPIKEDOSC_DISABLE_NUMBA set)"
-                      if _kernels._DISABLE else "numba")
+    compiled_label = ("numba" if _kernels.NUMBA_ENABLED
+                      else "pure-python (numba disabled or not importable)")
     print(f"dispatch path: {compiled_label}")
     print(f"{'kernel':<22}{'dispatch (ms)':>15}{'pure (ms)':>12}{'speedup':>10}")
     for name, fast, pure, work in _workloads():

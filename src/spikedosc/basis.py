@@ -52,6 +52,10 @@ class OscillatorParams:
     gamma: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("A", "B", "alpha", "lam"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.A < 0.0:
             raise DomainError(f"A must be >= 0, got {self.A}")
         if self.B <= 0.0:

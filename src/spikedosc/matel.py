@@ -1,17 +1,30 @@
 """Closed-form matrix elements <m|x^{-alpha}|n> and Hamiltonian assembly.
 
-The general element is a single terminating 3F2 at unit argument multiplied
-by a gamma-ratio prefactor; the alpha = 2 value is the two-branch limit of
-that expression, and couplings of the form lambda = gamma - alpha/2 admit a
-finite "vestige" limit as lambda -> 0.
+With u = sqrt(B) x^2 the basis functions are Laguerre polynomials
+L_n^{(gamma-1)}(u), and the x^{-alpha} element is their overlap under the
+weight u^{gamma-1-alpha/2} e^{-u}.  The connection formula (DLMF §18.18(iii))
+
+    L_n^{(gamma-1)} = sum_{k<=n} (alpha/2)_{n-k} / (n-k)! L_k^{(gamma-1-alpha/2)}
+
+expands them in polynomials orthogonal under exactly that weight, so the
+table factors as X = C C^T with the lower-triangular
+
+    C[n, k] = (-1)^n D_n a_{n-k} w_k,
+    D_n = B^{alpha/8} sqrt(n! / Gamma(n + gamma)),
+    a_j = (alpha/2)_j / j!,
+    w_k = sqrt(Gamma(k + gamma - alpha/2) / k!).
+
+For alpha > 0 and gamma - alpha/2 > 0 every a_j and w_k is positive, so the
+terms of X[m, n] = sum_{k<=min(m,n)} C[m, k] C[n, k] all carry the sign
+(-1)^{m+n}: nothing cancels, at any alpha and any index.  Only w_0 holds the
+Gamma(gamma - alpha/2) pole at alpha = 2 gamma, which gives the coupling
+paths of the "vestige" entries their finite limits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,60 +32,63 @@ import numpy as np
 from . import _kernels
 from .basis import OscillatorParams, energy_n
 from .errors import DomainError, PoleError
-from .specfun import hyp_3f2_terminating
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SPIKED_OSC_THREADS", "1")))
-    except ValueError:
-        return 1
+def _factor(B: float, gamma: float, alpha: float, rows, K: int,
+            lnw0: float | None = None) -> np.ndarray:
+    """Rows ``rows`` and columns k < K of the factor C (zero where k > n).
+
+    C[n, k] = (-1)^n exp(ln D_n + ln a_{n-k} + ln w_k).  ``lnw0`` replaces
+    ln w_0 = ln Gamma(gamma - alpha/2) / 2, the one entry with a pole at
+    alpha = 2 gamma.  Entries go through scalar math.exp, so a row built on
+    its own is bit-identical to the same row of the full factor.
+    """
+    a2 = 0.5 * alpha
+    lnb = 0.125 * alpha * math.log(B)
+    lga2 = math.lgamma(a2)
+    need = set()
+    for n in rows:
+        need.update(range(n - min(n, K - 1), n + 1))
+    lna = {j: math.lgamma(j + a2) - lga2 - math.lgamma(j + 1.0) for j in need}
+    lnw = [lnw0 if k == 0 and lnw0 is not None
+           else 0.5 * (math.lgamma(k + gamma - a2) - math.lgamma(k + 1.0))
+           for k in range(K)]
+    C = np.zeros((len(rows), K))
+    for i, n in enumerate(rows):
+        lnd = lnb + 0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + gamma))
+        sign = -1.0 if n % 2 else 1.0
+        C[i, :min(n + 1, K)] = [sign * math.exp(lnd + lna[n - k] + lnw[k])
+                                for k in range(min(n + 1, K))]
+    return C
 
 
-def _log_prefactor(params: OscillatorParams, m: int, n: int) -> float:
-    """log of B^{alpha/4} sqrt((g)_n (g)_m / (n! m!)) G(g-a/2) (a/2)_n / ((g)_n G(g))."""
-    g = params.gamma
-    a2 = 0.5 * params.alpha
-    lgn, _ = _kernels.lnpoch_signed(g, n)
-    lgm, _ = _kernels.lnpoch_signed(g, m)
-    lan, _ = _kernels.lnpoch_signed(a2, n)
-    return (0.25 * params.alpha * math.log(params.B)
-            + 0.5 * (lgn + lgm - math.lgamma(n + 1.0) - math.lgamma(m + 1.0))
-            + math.lgamma(g - a2) + lan - lgn - math.lgamma(g))
+def _entry(B: float, gamma: float, alpha: float, m: int, n: int,
+           lnw0: float | None = None) -> float:
+    """sum_{k<=min(m,n)} C[m, k] C[n, k], in the ascending-k order of
+    :func:`build_table`."""
+    cm, cn = _factor(B, gamma, alpha, (m, n), min(m, n) + 1, lnw0).tolist()
+    total = 0.0
+    for a, b in zip(cm, cn):
+        total += a * b
+    return total
 
 
 def matrix_element(params: OscillatorParams, m: int, n: int) -> float:
-    """<m|x^{-alpha}|n> via the single-3F2 closed form.
-
-    Requires alpha < 2 gamma and gamma - alpha/2 away from the non-positive
-    integers.  alpha = 2 is dispatched to its explicit closed form; for
-    other even alpha the (1 - alpha/2)_k factor truncates the 3F2 sum early,
-    which is harmless in the canonical index order used below.
-
-    The element is symmetric in (m, n) but the formula is not: with the
-    larger index in the terminating slot the alternating sum cancels by up
-    to ~1e24 at m = 30 (unsummable in any fixed precision), while with the
-    smaller index terminating all partial sums stay O(1).  The indices are
-    therefore swapped into the well-conditioned order before evaluation.
-    """
+    """<m|x^{-alpha}|n> from rows m and n of the factor C; O(m + n) work,
+    bit-identical to the entry of :func:`build_table`."""
     if m < 0 or n < 0:
         raise DomainError("matrix_element requires m, n >= 0")
     params.require_regular()
-    g = params.gamma
-    a2 = 0.5 * params.alpha
-    if g - a2 == round(g - a2) and g - a2 <= 0.0:
-        raise PoleError(f"gamma - alpha/2 = {g - a2} is a non-positive integer")
-    if params.alpha == 2.0:
-        return matrix_element_alpha2(params, m, n)
-    mm, nn = (m, n) if m <= n else (n, m)
-    f = hyp_3f2_terminating(mm, g - a2, 1.0 - a2, g, 1.0 - a2 - nn)
-    sign = -1.0 if (m + n) % 2 else 1.0
-    return sign * math.exp(_log_prefactor(params, mm, nn)) * f
+    return _entry(params.B, params.gamma, params.alpha, m, n)
 
 
 def matrix_element_alpha2(params: OscillatorParams, m: int, n: int) -> float:
-    """The alpha -> 2 limit: (-1)^{m+n} sqrt(B)/(gamma-1)
-    sqrt(max!/min!) sqrt((g)_n (g)_m) / (g)_max."""
+    """The paper's alpha = 2 closed form: (-1)^{m+n} sqrt(B)/(gamma-1)
+    sqrt(max!/min!) sqrt((g)_n (g)_m) / (g)_max.
+
+    :func:`matrix_element` does not call it; it is an independent check on
+    the factorisation at alpha = 2.
+    """
     g = params.gamma
     if g <= 1.0:
         raise PoleError(f"alpha = 2 element has a pole at gamma = 1 (gamma = {g})")
@@ -121,30 +137,19 @@ class MatrixElementTable:
 
 
 def build_table(params: OscillatorParams, N: int) -> MatrixElementTable:
-    """Dense N x N table of <m|x^{-alpha}|n>.
+    """Dense N x N table of <m|x^{-alpha}|n> as X = C C^T.
 
-    Only the upper triangle is computed; mirroring makes the stored table
-    bit-exact symmetric.  Entries are independent, so the fill parallelizes
-    over rows when SPIKED_OSC_THREADS > 1.
+    The rank-one updates C[:, k] C[:, k]^T are added in ascending k, so the
+    table is exactly symmetric and each entry equals :func:`matrix_element`.
     """
     if N < 1:
         raise DomainError(f"table dimension must be >= 1, got {N}")
     params.require_regular()
+    C = _factor(params.B, params.gamma, params.alpha, range(N), N)
     values = np.zeros((N, N))
-
-    def fill_row(m: int) -> None:
-        for n in range(m, N):
-            values[m, n] = matrix_element(params, m, n)
-
-    nt = _threads()
-    if nt > 1:
-        with ThreadPoolExecutor(max_workers=nt) as ex:
-            list(ex.map(fill_row, range(N)))
-    else:
-        for m in range(N):
-            fill_row(m)
-    iu = np.triu_indices(N, 1)
-    values[(iu[1], iu[0])] = values[iu]
+    for k in range(N):
+        c = C[k:, k]
+        values[k:, k:] += np.outer(c, c)
     return MatrixElementTable(params=params, N=N, values=values)
 
 
@@ -172,38 +177,22 @@ def vestige_hamiltonian_entry(B: float, gamma: float, lam: float,
     """
     if lam <= 0.0:
         raise DomainError("vestige path requires lambda > 0; use vestige_limit_entry at 0")
-    eps = lam if path == "linear" else math.sqrt(lam)
     if path not in ("linear", "sqrt"):
         raise DomainError(f"unknown vestige path {path!r}")
+    eps = lam if path == "linear" else math.sqrt(lam)
     alpha = 2.0 * (gamma - eps)
     if alpha <= 0.0:
         raise DomainError("path parameter too large: alpha <= 0")
-    g = gamma
-    a2 = 0.5 * alpha
-    diag = 2.0 * math.sqrt(B) * (2.0 * n + g) if m == n else 0.0
-    mm, nn = (m, n) if m <= n else (n, m)
-    # lambda * Gamma(g - a2) = lambda * Gamma(eps) combined into
-    # Gamma(1 + eps) * (lam / eps) to stay finite as eps -> 0
-    lgn, _ = _kernels.lnpoch_signed(g, nn)
-    lgm, _ = _kernels.lnpoch_signed(g, mm)
-    lan, _ = _kernels.lnpoch_signed(a2, nn)
-    ln = (0.25 * alpha * math.log(B)
-          + 0.5 * (lgn + lgm - math.lgamma(nn + 1.0) - math.lgamma(mm + 1.0))
-          + math.lgamma(1.0 + eps) + lan - lgn - math.lgamma(g))
-    f = hyp_3f2_terminating(mm, g - a2, 1.0 - a2, g, 1.0 - a2 - nn)
-    sign = -1.0 if (m + n) % 2 else 1.0
-    return diag + (lam / eps) * sign * math.exp(ln) * f
+    diag = 2.0 * math.sqrt(B) * (2.0 * n + gamma) if m == n else 0.0
+    # w_0^2 = Gamma(eps) from eps itself, not from gamma - alpha/2, which
+    # has lost the low digits of eps; lambda * Gamma(eps) stays finite.
+    return diag + lam * _entry(B, gamma, alpha, m, n, 0.5 * math.lgamma(eps))
 
 
 def vestige_limit_entry(B: float, gamma: float, m: int, n: int) -> float:
-    """The lambda -> 0 limit of the linear vestige path:
-    2 sqrt(B) (2n + gamma) delta_mn + (-1)^{m+n} B^{gamma/2}/Gamma(gamma)
-    sqrt((gamma)_n (gamma)_m / (n! m!))."""
-    g = gamma
-    diag = 2.0 * math.sqrt(B) * (2.0 * n + g) if m == n else 0.0
-    lgn, _ = _kernels.lnpoch_signed(g, n)
-    lgm, _ = _kernels.lnpoch_signed(g, m)
-    ln = (0.5 * g * math.log(B) - math.lgamma(g)
-          + 0.5 * (lgn + lgm - math.lgamma(n + 1.0) - math.lgamma(m + 1.0)))
-    sign = -1.0 if (m + n) % 2 else 1.0
-    return diag + sign * math.exp(ln)
+    """The lambda -> 0 limit of the linear vestige path: the diagonal
+    2 sqrt(B) (2n + gamma) delta_mn plus the rank-one term C[m, 0] C[n, 0]
+    at alpha = 2 gamma, with lambda Gamma(gamma - alpha/2) -> 1 in w_0."""
+    diag = 2.0 * math.sqrt(B) * (2.0 * n + gamma) if m == n else 0.0
+    cm, cn = _factor(B, gamma, 2.0 * gamma, (m, n), 1, lnw0=0.0)[:, 0]
+    return diag + float(cm * cn)

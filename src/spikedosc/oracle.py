@@ -2,7 +2,7 @@
 
 Adaptive Gauss-Kronrod quadrature of basis-function inner products, and the
 pre-collapse finite double sum for the x^{-alpha} matrix elements.  Both are
-kept deliberately independent of the single-3F2 closed form in
+kept deliberately independent of the factorisation X = C C^T in
 :mod:`spikedosc.matel` so that agreement between the routes is meaningful.
 """
 
@@ -162,12 +162,10 @@ def double_sum_matel(params: OscillatorParams, m: int, n: int) -> float:
     """<m|x^{-alpha}|n> by the exact finite (m+1) x (n+1) double sum.
 
     This is the pre-Vandermonde form: a second closed-form route that shares
-    no algebra with the single-3F2 expression, and the safe evaluation path
-    when alpha/2 is an integer (where the 3F2 form has removable
-    singularities).  The alternating terms cancel by many orders of
-    magnitude for m, n of order ten, so the sum is accumulated in extended
-    (long double) precision with term-ratio recurrences instead of repeated
-    gamma-function calls.
+    no algebra with the connection-formula factorisation.  The alternating
+    terms cancel by many orders of magnitude for m, n of order ten, so the
+    sum is accumulated in extended (long double) precision with term-ratio
+    recurrences instead of repeated gamma-function calls.
     """
     params.require_regular()
     g = np.longdouble(params.gamma)

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from . import _kernels
 from .basis import OscillatorParams
@@ -207,6 +206,10 @@ def coefficient_sum_contour(params: OscillatorParams, x: float,
     too slowly near gamma = 3/2 for plain truncation, but the oscillatory
     weight gives the integral superalgebraic convergence in the cycle count.
     """
+    # imported here: scipy.integrate costs ~0.6 s and ~50 MB of memory to
+    # load, and no other route of the package needs it
+    from scipy.integrate import IntegrationWarning, quad
+
     if x <= 0.0:
         raise DomainError(f"contour evaluation requires x > 0, got {x}")
     x2 = x * x

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OscillatorParams, energy_n
+from .basis import OscillatorParams
 from .errors import ConvergenceError, DomainError
-from .matel import build_table
+from .matel import build_hamiltonian
 
 DEFAULT_N_LADDER = (4, 8, 16, 32, 64)
 
@@ -77,8 +77,6 @@ def _residual_norm(H: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> float
 
 def solve(params: OscillatorParams, N: int) -> SpectrumResult:
     """Diagonalize the N x N projected Hamiltonian for the given parameters."""
-    from .matel import build_hamiltonian
-
     table = build_hamiltonian(params, N)
     evals, evecs = eigensolve_symmetric(table.values)
     return SpectrumResult(params=params, N=N, eigenvalues=evals,
@@ -89,20 +87,15 @@ def variational_sweep(params: OscillatorParams,
                       N_list: tuple[int, ...] = DEFAULT_N_LADDER) -> list[SpectrumResult]:
     """One SpectrumResult per dimension in the ascending ladder N_list.
 
-    The matrix-element table is built once at the largest N; smaller
-    Hamiltonians are its upper-left blocks, so the sweep costs one table.
+    The Hamiltonian is built once at the largest N; smaller ones are its
+    upper-left blocks, so the sweep costs one table.
     """
     ns = list(N_list)
     if not ns:
         raise DomainError("N_list must be non-empty")
     if any(n < 1 for n in ns) or ns != sorted(ns):
         raise DomainError(f"N_list must be ascending positive dimensions, got {ns}")
-    nmax = ns[-1]
-    if params.lam == 0.0:
-        big = np.diag([energy_n(params, k) for k in range(nmax)]).astype(float)
-    else:
-        big = params.lam * build_table(params, nmax).values
-        big[np.diag_indices(nmax)] += [energy_n(params, k) for k in range(nmax)]
+    big = build_hamiltonian(params, ns[-1]).values
     out = []
     for n in ns:
         H = big[:n, :n]

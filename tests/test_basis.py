@@ -50,6 +50,14 @@ class TestParams:
             with pytest.raises(DomainError):
                 OscillatorParams(**bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["A", "B", "alpha", "lam"])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(A=0.0, B=1.0, alpha=1.0, lam=0.0)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match="finite"):
+            OscillatorParams(**kwargs)
+
     def test_supersingular_guard(self):
         p = OscillatorParams(A=0.0, B=1.0, alpha=3.5)
         with pytest.raises(DomainError):

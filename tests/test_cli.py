@@ -134,6 +134,15 @@ class TestVerifyAndUsage:
         data = json.loads(out)
         assert data["all_passed"] and all(c["passed"] for c in data["checks"])
 
+    @pytest.mark.parametrize("argv", [
+        ("matelem", "--A", "0", "--B", "1", "--alpha", "nan", "--N", "3"),
+        ("perturb", "--A", "nan", "--B", "1", "--alpha", "1"),
+        ("spectrum", "--A", "0", "--B", "inf", "--alpha", "1", "--lam", "1"),
+    ])
+    def test_non_finite_parameter_exit2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "finite" in err
+
     def test_missing_flag_exit2(self, capsys):
         code, _, _ = run(capsys, "matelem", "--A", "0", "--B", "1", "--alpha", "1")
         assert code == 2

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikedosc import matel, oracle
 from spikedosc.basis import OscillatorParams
@@ -113,6 +115,16 @@ class TestAlpha2Limit:
             OscillatorParams(A=2.0, B=4.0, alpha=2.0 + 1e-5), 4, 2) - v2)
         assert e2 < 0.2 * e1
 
+    def test_general_route_matches_closed_form(self):
+        # matrix_element has no alpha = 2 branch: the factored table must
+        # reproduce the paper's closed form on its own
+        for A, B in ((0.0, 1.0), (2.0, 4.0), (5.0, 0.5)):
+            p = OscillatorParams(A=A, B=B, alpha=2.0)
+            for m in range(41):
+                for n in range(m, 41):
+                    assert matel.matrix_element(p, m, n) == pytest.approx(
+                        matel.matrix_element_alpha2(p, m, n), rel=1e-13)
+
     def test_quadrature_match(self):
         p = OscillatorParams(A=1.0, B=2.0, alpha=2.0)
         for m in range(7):
@@ -143,6 +155,16 @@ class TestVestige:
                 for lam in (1e-2, 1e-4, 1e-6)]
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-5
+
+    def test_linear_path_keeps_digits_near_limit(self):
+        # at lambda = 1e-9 the entry is within O(lambda) of its limit; the
+        # pole weight Gamma(eps) must come from eps itself, since
+        # gamma - alpha/2 keeps only ~7 of its digits there
+        for B, g in ((4.0, 2.5), (2.0, 3.3)):
+            for m, n in ((0, 0), (3, 1), (5, 4)):
+                want = matel.vestige_limit_entry(B, g, m, n)
+                got = matel.vestige_hamiltonian_entry(B, g, 1e-9, m, n, path="linear")
+                assert abs(got - want) <= 1e-8 * abs(want)
 
     def test_sqrt_path_vanishes(self):
         B, g = 1.0, 2.0
@@ -185,14 +207,6 @@ class TestTables:
         assert data["N"] == 4
         np.testing.assert_array_equal(np.array(data["values"]), t.values)
 
-    def test_threaded_fill_matches(self, monkeypatch):
-        monkeypatch.setenv("SPIKED_OSC_THREADS", "4")
-        p = OscillatorParams(A=1.0, B=1.0, alpha=0.5)
-        t4 = matel.build_table(p, 8)
-        monkeypatch.setenv("SPIKED_OSC_THREADS", "1")
-        t1 = matel.build_table(p, 8)
-        assert np.array_equal(t4.values, t1.values)
-
     def test_hamiltonian(self):
         p = OscillatorParams(A=0.0, B=1.0, alpha=2.0, lam=1.0)
         h = matel.build_hamiltonian(p, 1)
@@ -202,6 +216,59 @@ class TestTables:
         h0 = matel.build_hamiltonian(p0, 3)
         np.testing.assert_allclose(h0.values, np.diag([3.0, 7.0, 11.0]))
 
+    @settings(max_examples=40, deadline=None)
+    @given(gamma=st.floats(min_value=1.5, max_value=6.0),
+           alpha_frac=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+           B=st.floats(min_value=0.25, max_value=4.0),
+           N=st.integers(min_value=1, max_value=24),
+           data=st.data())
+    def test_table_properties(self, gamma, alpha_frac, B, N, data):
+        p = params_for_gamma(gamma, B=B, alpha=alpha_frac * 2.0 * gamma)
+        X = matel.build_table(p, N).values
+        assert np.array_equal(X, X.T)
+        if alpha_frac <= 0.8:
+            np.linalg.cholesky(X)  # raises LinAlgError unless positive definite
+        else:
+            # near alpha = 2 gamma the exact eigenvalues of x^-alpha on 24
+            # states span more than 1/eps, so rounding alone may leave the
+            # smallest one slightly negative: positive semidefinite to rounding
+            scale = np.abs(X).max()
+            assert np.linalg.eigvalsh(X)[0] >= -N * np.finfo(float).eps * scale
+        m = data.draw(st.integers(min_value=0, max_value=N - 1))
+        n = data.draw(st.integers(min_value=0, max_value=N - 1))
+        assert X[m, n] == matel.matrix_element(p, m, n)
+
     def test_dimension_validation(self):
         with pytest.raises(DomainError):
             matel.build_table(OscillatorParams(A=0.0, B=1.0, alpha=1.0), 0)
+
+
+class TestHighPrecision:
+    """Entries with large indices against an exact mpmath double sum."""
+
+    @staticmethod
+    def reference(p, m, n, dps):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(dps):
+            g = 1 + mp.sqrt(1 + 4 * mp.mpf(p.A)) / 2
+            B, a2 = mp.mpf(p.B), mp.mpf(p.alpha) / 2
+            # the pre-Vandermonde double sum: it shares no algebra with the
+            # factorisation, but it alternates and loses ~50 digits at m = 60
+            rk = [mp.rf(-m, k) / (mp.rf(g, k) * mp.factorial(k)) for k in range(m + 1)]
+            rl = [mp.rf(-n, l) / (mp.rf(g, l) * mp.factorial(l)) for l in range(n + 1)]
+            rc = [mp.rf(g - a2, j) for j in range(m + n + 1)]
+            s = mp.fsum(rk[k] * rl[l] * rc[k + l]
+                        for k in range(m + 1) for l in range(n + 1))
+            norm = mp.sqrt(mp.gamma(m + g) * mp.gamma(n + g)
+                           / (mp.factorial(m) * mp.factorial(n)))
+            return (-1) ** (m + n) * B ** (a2 / 2) * norm * mp.gamma(g - a2) \
+                / mp.gamma(g) ** 2 * s
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 2.0, 2.9])
+    def test_large_indices(self, alpha):
+        p = OscillatorParams(A=1.0, B=2.0, alpha=alpha)
+        for m, n in ((60, 60), (60, 0), (59, 31)):
+            want = self.reference(p, m, n, 80)
+            # the reference must not move when the precision is raised
+            assert abs(self.reference(p, m, n, 120) - want) <= 1e-20 * abs(want)
+            assert matel.matrix_element(p, m, n) == pytest.approx(float(want), rel=1e-12)
