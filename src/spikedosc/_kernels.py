@@ -1,10 +1,14 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels.
 
-Every kernel is written once as a plain Python/numpy function and wrapped
+The scalar kernels are written once as plain Python functions and wrapped
 with ``numba.njit`` unless the environment variable ``SPIKEDOSC_DISABLE_NUMBA``
-is set (any non-empty value) or numba cannot be imported.  The pure versions
+is set (any non-empty value) or numba cannot be imported; the pure versions
 stay importable under their ``py_`` aliases so the benchmark suite can time
-both paths in one process.
+both paths in one process.  ``psi1_sum`` and ``kummer_grid`` are plain numpy
+array code with no compiled variant: ``kummer_grid`` updates the whole z-grid
+per recurrence step, and ``psi1_sum`` splits the Kummer recurrence into
+blocks advanced in lockstep (Kogge & Stone, IEEE Trans. Comput. C-22 (1973)
+786).
 
 Kernels return status codes instead of raising, so the same source compiles
 in nopython mode; the public wrappers in :mod:`spikedosc.specfun` translate
@@ -115,23 +119,17 @@ def py_kummer_terminating(n: int, g: float, z: float) -> float:
     return f
 
 
-def py_kummer_grid(n: int, g: float, zs: np.ndarray) -> np.ndarray:
-    # Vectorized counterpart of py_kummer_terminating over a z-grid.
-    m = zs.shape[0]
-    f = np.empty(m)
+def kummer_grid(n: int, g: float, zs: np.ndarray) -> np.ndarray:
+    # kummer_terminating over a z-grid: one loop over k with whole-array
+    # updates in the same operation order, so every entry is bit-identical
+    # to the scalar kernel.
+    zs = np.asarray(zs, dtype=float)
     if n == 0:
-        for i in range(m):
-            f[i] = 1.0
-        return f
-    fprev = np.empty(m)
-    for i in range(m):
-        fprev[i] = 1.0
-        f[i] = 1.0 - zs[i] / g
+        return np.ones(zs.shape[0])
+    fprev = np.ones(zs.shape[0])
+    f = 1.0 - zs / g
     for k in range(1, n):
-        for i in range(m):
-            fnext = ((2.0 * k + g - zs[i]) * f[i] - k * fprev[i]) / (g + k)
-            fprev[i] = f[i]
-            f[i] = fnext
+        fprev, f = f, ((2.0 * k + g - zs) * f - k * fprev) / (g + k)
     return f
 
 
@@ -190,15 +188,86 @@ def py_pfq_unit_terms(uppers: np.ndarray, lowers: np.ndarray, s: float,
     return total + comp, nterms, terms[:nterms]
 
 
-def py_psi1_sum(a: float, g: float, z: float, rel_tol: float, quiet_run: int,
-                cap: int):
-    """Sum_{n>=1} (a)_n / (n n!) * 1F1(-n, g, z) with the 1F1 values generated
-    by upward recurrence.
+PSI1_CHUNK = 8192  # terms per numpy pass of psi1_sum; bounds its memory
+# Cost of one lockstep step over all blocks relative to one scalar stitch
+# step; the block length sqrt(L / _LOCKSTEP_COST) balances the two loops.
+_LOCKSTEP_COST = 20.0
+
+
+def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
+                     out: np.ndarray) -> None:
+    """Fill out[i] = 1F1(-(n + 1 + i), g, z) from f_{n-1} = fprev, f_n = f
+    by the recurrence (g + k) f_{k+1} = (2k + g - z) f_k - k f_{k-1}.
+
+    Steps with k < z + 2 lie in the non-oscillatory region and run one at a
+    time.  The rest is cut into blocks of m steps; the two fundamental
+    solutions of every block (initial pairs (1, 0) and (0, 1)) are advanced
+    in lockstep as arrays, a scalar pass over the blocks carries
+    (f_{k-1}, f_k) from block to block, and each block is then the
+    combination of its two solutions with its carried pair.
+    """
+    count = out.shape[0]
+    i = 0
+    while i < count and n < z + 2.0:
+        fprev, f = f, ((2.0 * n + g - z) * f - n * fprev) / (g + n)
+        out[i] = f
+        n += 1
+        i += 1
+    rest = count - i
+    if rest == 0:
+        return
+    m = max(1, int(math.sqrt(rest / _LOCKSTEP_COST)))
+    nb = -(-rest // m)
+    # k[j, b] = n + b m + j: step j of block b
+    k = np.arange(n, n + m * nb, dtype=float).reshape(nb, m).T.copy()
+    den = g + k
+    step = 2.0 * k + g - z
+    step /= den
+    back = np.divide(k, den, out=k)
+    del den
+    # u[j + 2], v[j + 2]: value after step j of the solutions that start
+    # from (f_{k-1}, f_k) = (1, 0) and (0, 1)
+    u = np.empty((m + 2, nb))
+    v = np.empty((m + 2, nb))
+    u[0] = v[1] = 1.0
+    u[1] = v[0] = 0.0
+    tmp = np.empty(nb)
+    for j in range(m):
+        for sol in (u, v):
+            np.multiply(step[j], sol[j + 1], out=sol[j + 2])
+            np.multiply(back[j], sol[j], out=tmp)
+            np.subtract(sol[j + 2], tmp, out=sol[j + 2])
+    del step, back, tmp
+    starts_prev, starts = [], []
+    for u1, v1, u2, v2 in zip(u[m].tolist(), v[m].tolist(),
+                              u[m + 1].tolist(), v[m + 1].tolist()):
+        starts_prev.append(fprev)
+        starts.append(f)
+        fprev, f = fprev * u1 + f * v1, fprev * u2 + f * v2
+    vals = u[2:]
+    vals *= starts_prev
+    v[2:] *= starts
+    vals += v[2:]
+    out[i:] = vals.T.reshape(-1)[:rest]
+
+
+def psi1_sum(a: float, g: float, z: float, rel_tol: float, quiet_run: int,
+             cap: int):
+    """Sum_{n>=1} (a)_n / (n n!) * 1F1(-n, g, z) for z >= 0, with the 1F1
+    values generated by upward recurrence.
 
     Returns (plain partial sum, oscillation-averaged sum, terms used, status).
+    The sum stops once quiet_run consecutive terms are each below rel_tol
+    times the running sum, or at cap terms (status STATUS_NO_CONVERGENCE).
     The averaged sum is the mean of the partial sums over the final window of
     one asymptotic oscillation period 2*pi*sqrt(n/z); for slowly decaying
     coefficient sequences (a -> 1) it removes the leading oscillatory tail.
+
+    Terms are processed PSI1_CHUNK at a time as numpy arrays: coefficients
+    by cumprod of their ratios, 1F1 values by _kummer_continue, and partial
+    sums by cumsum plus the cumsum of the exact rounding error of each
+    addition (Knuth's TwoSum), which is Neumaier's compensated sum term for
+    term.  The chunk buffers are allocated once per call.
     """
     fprev = 1.0
     f = 1.0 - z / g
@@ -207,48 +276,66 @@ def py_psi1_sum(a: float, g: float, z: float, rel_tol: float, quiet_run: int,
     comp = 0.0
     quiet = 0
     n = 1
-    # ring buffer of recent partial sums for the oscillation average
     if z > 0.0:
         win = int(2.0 * math.pi * math.sqrt(cap / z)) + 1
     else:
         win = 1
-    if win > cap:
-        win = cap
-    if win < 1:
-        win = 1
-    ring = np.empty(win)
-    ring[0] = total + comp
-    count = 1
+    win = max(1, min(win, cap))
+    recent = np.array([total])  # the last win partial sums
     status = STATUS_NO_CONVERGENCE
+    size = max(0, min(PSI1_CHUNK, cap - 1))
+    coef = np.empty(size)
+    kum = np.empty(size)
+    tmp = np.empty(size)
+    # slot 0 of each carries the running total (compensation) into the cumsum
+    terms = np.empty(size + 1)
+    sums = np.empty(size + 1)
+    errs = np.empty(size + 1)
     while n < cap:
-        fnext = ((2.0 * n + g - z) * f - n * fprev) / (g + n)
-        fprev = f
-        f = fnext
-        n += 1
-        c *= (a + n - 1.0) * (n - 1.0) / (n * n)
-        t = c * f
-        sm = total + t
-        if abs(total) >= abs(t):
-            comp += (total - sm) + t
-        else:
-            comp += (t - sm) + total
-        total = sm
-        ring[count % win] = total + comp
-        count += 1
-        if abs(t) < rel_tol * abs(total + comp):
-            quiet += 1
-            if quiet >= quiet_run:
+        L = min(size, cap - n)
+        ns = np.arange(n + 1, n + L + 1, dtype=float)
+        cs = np.add(ns, a, out=coef[:L])
+        cs -= 1.0
+        cs *= ns - 1.0
+        cs /= np.multiply(ns, ns, out=ns)
+        cs[0] *= c
+        np.cumprod(cs, out=cs)
+        fs = kum[:L]
+        _kummer_continue(fprev, f, n, g, z, fs)
+        t = np.multiply(cs, fs, out=terms[1:L + 1])
+        terms[0] = total
+        np.cumsum(terms[:L + 1], out=sums[:L + 1])
+        before, s = sums[:L], sums[1:L + 1]
+        # TwoSum: err = (before - (s - virt)) + (t - virt) with virt = s - before
+        virt = np.subtract(s, before, out=tmp[:L])
+        err = np.subtract(s, virt, out=errs[1:L + 1])
+        np.subtract(before, err, out=err)
+        err += np.subtract(t, virt, out=virt)
+        errs[0] = comp
+        cm = np.cumsum(errs[:L + 1], out=errs[:L + 1])[1:]
+        partial = s + cm
+        q = np.abs(t) < rel_tol * np.abs(partial)
+        e = L
+        if q.any():
+            # run[i]: consecutive quiet terms ending at i, counting the run
+            # carried in from the previous chunk
+            idx = np.arange(L)
+            last_loud = np.maximum.accumulate(np.where(q, -1, idx))
+            run = np.where(last_loud < 0, idx + 1 + quiet, idx - last_loud)
+            hit = np.flatnonzero(q & (run >= quiet_run))
+            if hit.size:
+                e = int(hit[0]) + 1
                 status = STATUS_OK
-                break
+            quiet = int(run[e - 1])
         else:
             quiet = 0
-    plain = total + comp
-    navg = min(count, win)
-    avg = 0.0
-    for i in range(navg):
-        avg += ring[i]
-    avg /= navg
-    return plain, avg, n, status
+        total, comp, c = float(s[e - 1]), float(cm[e - 1]), float(cs[e - 1])
+        fprev, f = (float(fs[e - 2]) if e >= 2 else f), float(fs[e - 1])
+        recent = np.concatenate((recent, partial[:e]))[-win:]
+        n += e
+        if status == STATUS_OK:
+            break
+    return total + comp, float(recent.mean()), n, status
 
 
 def py_s_spike_direct(w: complex, a: float, rel_tol: float, cap: int):
@@ -320,10 +407,8 @@ pochhammer_kernel = _jit(py_pochhammer)
 lnpoch_signed = _jit(py_lnpoch_signed)
 hyp1f1_series = _jit(py_hyp1f1_series)
 kummer_terminating = _jit(py_kummer_terminating)
-kummer_grid = _jit(py_kummer_grid)
 hyp3f2_terminating_kernel = _jit(py_hyp3f2_terminating)
 pfq_unit_terms = _jit(py_pfq_unit_terms)
-psi1_sum = _jit(py_psi1_sum)
 s_spike_direct = _jit(py_s_spike_direct)
 s_spike_near_unit = _jit(py_s_spike_near_unit)
 contour_integrand = _jit(py_contour_integrand)
@@ -333,8 +418,6 @@ PY_IMPLS = {
     "pochhammer": py_pochhammer,
     "hyp3f2_terminating": py_hyp3f2_terminating,
     "kummer_terminating": py_kummer_terminating,
-    "kummer_grid": py_kummer_grid,
     "pfq_unit_terms": py_pfq_unit_terms,
-    "psi1_sum": py_psi1_sum,
     "contour_integrand": py_contour_integrand,
 }

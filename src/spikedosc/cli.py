@@ -6,7 +6,8 @@ correction on a grid), verify (self-check against the independent oracles).
 
 Exit codes: 0 success, 2 precondition or usage error, 3 documented series
 divergence, 4 numerical non-convergence.  All floats are printed with 17
-significant digits so output re-parses bit-exactly.
+significant digits so output re-parses bit-exactly.  Warnings raised by
+wavefun go to stderr, one ``spikedosc: warning: ...`` line each.
 """
 
 from __future__ import annotations
@@ -156,10 +157,12 @@ def _cmd_wavefun(args) -> int:
         xs = np.array([args.x_start])
     else:
         xs = np.linspace(args.x_start, args.x_stop, args.x_count)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         samples = perturb.wavefun_samples(params, xs, method=args.method,
                                           allow_unproven=args.allow_unproven)
+    for w in caught:
+        print(f"spikedosc: warning: {w.message}", file=sys.stderr)
     if args.format == "csv":
         _emit(samples.to_csv(), args.output)
     else:

@@ -134,10 +134,13 @@ def psi1_series(params: OscillatorParams, x: float,
     oscillate, so the raw partial sum rings at the 1e-5 level near the cap;
     the returned value is instead the mean of the partial sums over the last
     asymptotic oscillation period, which suppresses the ringing by two to
-    three orders of magnitude.  A SlowConvergenceWarning is emitted when the
-    term cap is reached before the plain stopping rule fires.
+    three orders of magnitude.  ``terms`` caps the number of series terms
+    and must be >= 1; a SlowConvergenceWarning is emitted when the cap is
+    reached before the plain stopping rule fires.
     """
     _check_psi1_domain(params, x, allow_unproven)
+    if terms < 1:
+        raise DomainError(f"term cap must be >= 1, got {terms}")
     g = params.gamma
     a2 = 0.5 * params.alpha
     z = math.sqrt(params.B) * x * x

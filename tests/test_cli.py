@@ -2,11 +2,15 @@
 determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from spikedosc import perturb
+from spikedosc.basis import OscillatorParams
 from spikedosc.cli import main
+from spikedosc.errors import SlowConvergenceWarning
 from spikedosc.matel import MatrixElementTable
 
 
@@ -120,6 +124,22 @@ class TestWavefun:
         assert code == 2
         code, out, _ = run(capsys, *args, "--allow-unproven")
         assert code == 0
+
+    def test_slow_convergence_warning_on_stderr(self, capsys):
+        # alpha = 2 makes the coefficients decay like 1/n, so the series hits
+        # its term cap at x = 1
+        code, out, err = run(capsys, "wavefun", "--A", "0", "--B", "1", "--alpha", "2",
+                             "--method", "series", "--x-start", "1", "--x-count", "1")
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("spikedosc: warning: coefficient sum hit the "
+                                   "100000-term cap at x = 1.0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SlowConvergenceWarning)
+            samples = perturb.wavefun_samples(
+                OscillatorParams(A=0.0, B=1.0, alpha=2.0), [1.0], method="series")
+        assert out == json.dumps(samples.to_dict(), indent=2) + "\n"
 
     def test_negative_count(self, capsys):
         code, _, _ = run(capsys, "wavefun", "--A", "0", "--B", "1",

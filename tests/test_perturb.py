@@ -113,6 +113,12 @@ class TestPsi1Series:
         with pytest.warns(SlowConvergenceWarning):
             perturb.psi1_series(p, 1.0, terms=2000)
 
+    @pytest.mark.parametrize("terms", [0, -3])
+    def test_term_cap_below_one_refused(self, terms):
+        p = OscillatorParams(A=0.0, B=1.0, alpha=1.0)
+        with pytest.raises(DomainError):
+            perturb.psi1_series(p, 1.0, terms=terms)
+
     def test_unproven_regime_flag(self):
         p = params_for_gamma(4.0, alpha=2.5)
         with pytest.raises(DomainError):
