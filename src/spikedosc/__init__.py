@@ -16,7 +16,7 @@ from .matel import (MatrixElementTable, build_hamiltonian, build_table,
 from .oracle import (QuadratureSpec, adaptive_quad, double_sum_matel,
                      matel_quadrature, overlap)
 from .perturb import (EnergySeries, WavefunSamples, energy_exact_alpha2,
-                      energy_series, energy_series_alpha2, hyp3f2_unit_disc,
+                      energy_series, energy_series_alpha2,
                       psi1_alpha2_closed, psi1_contour, psi1_series,
                       wavefun_samples)
 from .spectrum import (SpectrumResult, eigensolve_symmetric,
@@ -32,7 +32,7 @@ __all__ = [
     "build_table", "double_sum_matel", "eigensolve_symmetric", "energy_n",
     "energy_exact_alpha2", "energy_series", "energy_series_alpha2",
     "eval_psi", "eval_psi_grid", "exact_ground_alpha2", "gamma_of_A",
-    "hyp3f2_unit_disc", "matel_quadrature", "matrix_element",
+    "matel_quadrature", "matrix_element",
     "matrix_element_alpha2", "norm_coeff", "overlap", "psi1_alpha2_closed",
     "psi1_contour", "psi1_series", "variational_sweep",
     "vestige_hamiltonian_entry", "vestige_limit_entry", "wavefun_samples",

@@ -1,23 +1,16 @@
 """Hot numeric kernels.
 
-The scalar kernels are written once as plain Python functions and wrapped
-with ``numba.njit`` unless the environment variable ``SPIKEDOSC_DISABLE_NUMBA``
-is set (any non-empty value) or numba cannot be imported; the pure versions
-stay importable under their ``py_`` aliases so the benchmark suite can time
-both paths in one process.  ``psi1_sum`` and ``kummer_grid`` are plain numpy
-array code with no compiled variant: ``kummer_grid`` updates the whole z-grid
-per recurrence step, and ``psi1_sum`` splits the Kummer recurrence into
-blocks advanced in lockstep (Kogge & Stone, IEEE Trans. Comput. C-22 (1973)
-786).
+Every kernel is plain Python or numpy.  ``psi1_sum`` and ``kummer_grid`` are
+whole-array numpy code: ``kummer_grid`` updates the whole z-grid per
+recurrence step, and ``psi1_sum`` splits the Kummer recurrence into blocks
+advanced in lockstep (Kogge & Stone, IEEE Trans. Comput. C-22 (1973) 786).
 
-Kernels return status codes instead of raising, so the same source compiles
-in nopython mode; the public wrappers in :mod:`spikedosc.specfun` translate
-codes into exceptions.
+Kernels report failure through status codes rather than exceptions; the
+public wrappers in :mod:`spikedosc.specfun` translate codes into exceptions.
 """
 
 import cmath
 import math
-import os
 
 import numpy as np
 
@@ -26,28 +19,13 @@ EULER_GAMMA = 0.5772156649015328606065
 STATUS_OK = 0
 STATUS_NO_CONVERGENCE = 1
 
-_DISABLE = bool(os.environ.get("SPIKEDOSC_DISABLE_NUMBA"))
-
-if not _DISABLE:
-    try:
-        from numba import njit as _njit
-
-        def _jit(fn):
-            return _njit(cache=True)(fn)
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def _jit(fn):
-        return fn
+# No compiled backend exists; perfbench/worker.py records this flag.
+NUMBA_ENABLED = False
 
 
-def py_digamma(x: float) -> float:
-    # Upward recurrence to x >= 10, then the Bernoulli asymptotic series.
+def digamma_kernel(x: float) -> float:
+    # Upward recurrence to x >= 10, then the Bernoulli asymptotic series;
+    # absolute error below 1e-12 for x > 0.
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x
@@ -63,15 +41,7 @@ def py_digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 * inv - tail
 
 
-def py_pochhammer(a: float, k: int) -> float:
-    # Iterated product so negative-integer a yields exact zeros.
-    out = 1.0
-    for j in range(k):
-        out *= a + j
-    return out
-
-
-def py_lnpoch_signed(a: float, k: int):
+def lnpoch_signed(a: float, k: int):
     # log|(a)_k| and its sign; safe for large k where the product overflows.
     ln = 0.0
     sign = 1.0
@@ -86,7 +56,7 @@ def py_lnpoch_signed(a: float, k: int):
     return ln, sign
 
 
-def py_hyp1f1_series(a: float, g: float, z: float, rel_tol: float, cap: int):
+def hyp1f1_series(a: float, g: float, z: float, rel_tol: float, cap: int):
     # Plain Kummer series for non-terminating a.
     total = 1.0
     comp = 0.0
@@ -104,7 +74,7 @@ def py_hyp1f1_series(a: float, g: float, z: float, rel_tol: float, cap: int):
     return total + comp, STATUS_NO_CONVERGENCE
 
 
-def py_kummer_terminating(n: int, g: float, z: float) -> float:
+def kummer_terminating(n: int, g: float, z: float) -> float:
     # 1F1(-n, g, z) via the Laguerre-type three-term recurrence in n,
     # which avoids the catastrophic cancellation of the raw Kummer sum
     # for large n and z.
@@ -133,7 +103,7 @@ def kummer_grid(n: int, g: float, zs: np.ndarray) -> np.ndarray:
     return f
 
 
-def py_hyp3f2_terminating(m: int, b: float, c: float, d: float, e: float) -> float:
+def hyp3f2_terminating_kernel(m: int, b: float, c: float, d: float, e: float) -> float:
     # sum_{k=0}^{m} (-m)_k (b)_k (c)_k / ((d)_k (e)_k k!), Neumaier-compensated
     # because the (-m)_k factor alternates in sign.
     total = 1.0
@@ -152,8 +122,8 @@ def py_hyp3f2_terminating(m: int, b: float, c: float, d: float, e: float) -> flo
     return total + comp
 
 
-def py_pfq_unit_terms(uppers: np.ndarray, lowers: np.ndarray, s: float,
-                      rel_tol: float, cap: int):
+def pfq_unit_terms(uppers: np.ndarray, lowers: np.ndarray, s: float,
+                   rel_tol: float, cap: int):
     """Sum the unit-argument pFq series, recording every term.
 
     Returns (compensated partial sum, number of terms, terms array).  The
@@ -338,7 +308,7 @@ def psi1_sum(a: float, g: float, z: float, rel_tol: float, quiet_run: int,
     return total + comp, float(recent.mean()), n, status
 
 
-def py_s_spike_direct(w: complex, a: float, rel_tol: float, cap: int):
+def s_spike_direct(w: complex, a: float, rel_tol: float, cap: int):
     # S(w) = sum_{n>=1} (a)_n w^n / (n n!) by direct summation, |w| < 1.
     t = a * w
     total = t
@@ -352,8 +322,8 @@ def py_s_spike_direct(w: complex, a: float, rel_tol: float, cap: int):
     return total, STATUS_NO_CONVERGENCE
 
 
-def py_s_spike_near_unit(q: complex, a: float, psi_one_minus_a: float,
-                         rel_tol: float, cap: int):
+def s_spike_near_unit(q: complex, a: float, psi_one_minus_a: float,
+                      rel_tol: float, cap: int):
     """S(w) for w = 1 - q via the continuation around w = 1.
 
     S = psi(1) - psi(1-a) - log(1-q) - q^{1-a} * sum_{k>=0} q^k / (k+1-a),
@@ -380,8 +350,8 @@ def py_s_spike_near_unit(q: complex, a: float, psi_one_minus_a: float,
     return val, status
 
 
-def py_contour_integrand(y: float, c: float, x2: float, sqrt_b: float,
-                         g: float, a: float, psi_one_minus_a: float):
+def contour_integrand(y: float, c: float, x2: float, sqrt_b: float,
+                      g: float, a: float, psi_one_minus_a: float):
     """Smooth (non-oscillatory) part of the inverse-Laplace integrand.
 
     Full integrand is Re[e^{i sqrt(B) y} * G(y)] with
@@ -391,7 +361,7 @@ def py_contour_integrand(y: float, c: float, x2: float, sqrt_b: float,
     """
     t = complex(c, y)
     q = x2 / t
-    # calls resolve to the jitted dispatchers when numba is enabled
+    # module-global lookups, so a tracer that rebinds these names sees each call
     if abs(q) <= 0.7:
         s_val, _ = s_spike_near_unit(q, a, psi_one_minus_a, 1e-16, 10000)
     else:
@@ -399,25 +369,3 @@ def py_contour_integrand(y: float, c: float, x2: float, sqrt_b: float,
     gfac = cmath.exp(sqrt_b * c - g * cmath.log(t))
     val = gfac * s_val
     return val.real, val.imag
-
-
-# JIT-compiled entry points (identical callables when numba is disabled).
-digamma_kernel = _jit(py_digamma)
-pochhammer_kernel = _jit(py_pochhammer)
-lnpoch_signed = _jit(py_lnpoch_signed)
-hyp1f1_series = _jit(py_hyp1f1_series)
-kummer_terminating = _jit(py_kummer_terminating)
-hyp3f2_terminating_kernel = _jit(py_hyp3f2_terminating)
-pfq_unit_terms = _jit(py_pfq_unit_terms)
-s_spike_direct = _jit(py_s_spike_direct)
-s_spike_near_unit = _jit(py_s_spike_near_unit)
-contour_integrand = _jit(py_contour_integrand)
-
-PY_IMPLS = {
-    "digamma": py_digamma,
-    "pochhammer": py_pochhammer,
-    "hyp3f2_terminating": py_hyp3f2_terminating,
-    "kummer_terminating": py_kummer_terminating,
-    "pfq_unit_terms": py_pfq_unit_terms,
-    "contour_integrand": py_contour_integrand,
-}

@@ -5,9 +5,12 @@ perturb (weak-coupling energy series), wavefun (first-order wavefunction
 correction on a grid), verify (self-check against the independent oracles).
 
 Exit codes: 0 success, 2 precondition or usage error, 3 documented series
-divergence, 4 numerical non-convergence.  All floats are printed with 17
-significant digits so output re-parses bit-exactly.  Warnings raised by
-wavefun go to stderr, one ``spikedosc: warning: ...`` line each.
+divergence, 4 numerical non-convergence or a non-finite result.  Output is
+standard JSON: a NaN or infinity is never printed; the command exits 4
+instead, with one ``spikedosc: non-finite result: ...`` line on stderr and
+nothing on stdout.  All floats are printed with 17 significant digits so
+output re-parses bit-exactly.  Warnings raised by wavefun go to stderr, one
+``spikedosc: warning: ...`` line each.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ def _cmd_spectrum(args) -> int:
         "results": [r.to_dict() for r in results],
         "ground_converged": spectrum.ground_state_converged(results),
     }
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.output)
     return EXIT_OK
 
 
@@ -143,7 +146,7 @@ def _cmd_perturb(args) -> int:
     payload["params"] = params.to_dict()
     if params.lam > 0.0:
         payload["E_second_order"] = float(f"{series.evaluate(params.lam):.17g}")
-    _emit(json.dumps(payload, indent=2), args.output)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.output)
     return EXIT_OK
 
 
@@ -166,7 +169,8 @@ def _cmd_wavefun(args) -> int:
     if args.format == "csv":
         _emit(samples.to_csv(), args.output)
     else:
-        _emit(json.dumps(samples.to_dict(), indent=2), args.output)
+        _emit(json.dumps(samples.to_dict(), indent=2, allow_nan=False),
+              args.output)
     return EXIT_OK
 
 
@@ -221,7 +225,7 @@ def _cmd_verify(args) -> int:
     checks = _verify_checks(params)
     ok = all(c["passed"] for c in checks)
     _emit(json.dumps({"params": params.to_dict(), "checks": checks,
-                      "all_passed": ok}, indent=2), args.output)
+                      "all_passed": ok}, indent=2, allow_nan=False), args.output)
     return EXIT_OK if ok else 1
 
 
@@ -246,10 +250,14 @@ def main(argv=None) -> int:
         print(f"spikedosc: precondition violated: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:
-        print(json.dumps({"divergent": True, "reason": str(exc)}, indent=2))
+        print(json.dumps({"divergent": True, "reason": str(exc)}, indent=2,
+                         allow_nan=False))
         return EXIT_DIVERGENCE
     except ConvergenceError as exc:
         print(f"spikedosc: did not converge: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except ValueError as exc:  # json.dumps(allow_nan=False) met NaN or inf
+        print(f"spikedosc: non-finite result: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
 

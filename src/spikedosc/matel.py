@@ -124,7 +124,7 @@ class MatrixElementTable:
             "params": self.params.to_dict(),
             "N": self.N,
             "values": [[float(f"{v:.17g}") for v in row] for row in self.values],
-        }, indent=2)
+        }, indent=2, allow_nan=False)
 
     @staticmethod
     def parse_csv(text: str) -> np.ndarray:

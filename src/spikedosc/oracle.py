@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .basis import OscillatorParams, eval_psi_grid, norm_coeff
 from .errors import ConvergenceError, DomainError
 

@@ -48,7 +48,7 @@ class EnergySeries:
                 "c2_error": float(f"{self.c2_error:.17g}")}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def energy_series(params: OscillatorParams) -> EnergySeries:
@@ -136,7 +136,9 @@ def psi1_series(params: OscillatorParams, x: float,
     asymptotic oscillation period, which suppresses the ringing by two to
     three orders of magnitude.  ``terms`` caps the number of series terms
     and must be >= 1; a SlowConvergenceWarning is emitted when the cap is
-    reached before the plain stopping rule fires.
+    reached before the plain stopping rule fires.  A ConvergenceError is
+    raised when the sum is not finite, which happens once sqrt(B) x^2 is
+    large enough for the Kummer recurrence to overflow.
     """
     _check_psi1_domain(params, x, allow_unproven)
     if terms < 1:
@@ -146,6 +148,10 @@ def psi1_series(params: OscillatorParams, x: float,
     z = math.sqrt(params.B) * x * x
     plain, averaged, used, status = _kernels.psi1_sum(
         a2, g, z, 1e-12, 50, int(terms))
+    if not math.isfinite(averaged):
+        raise ConvergenceError(
+            f"coefficient sum is not finite at x = {x} (sqrt(B) x^2 = {z:.6g}): "
+            "the 1F1(-n, gamma, sqrt(B) x^2) recurrence left double range")
     if status != _kernels.STATUS_OK:
         warnings.warn(
             f"coefficient sum hit the {terms}-term cap at x = {x} "
@@ -171,27 +177,6 @@ def psi1_alpha2_closed(params: OscillatorParams, x: float) -> float:
     coeff = (0.5 / math.sqrt(2.0)) * params.B ** (0.25 * g) \
         * math.exp(math.lgamma(g - 1.0) - 1.5 * math.lgamma(g))
     return coeff * _envelope(params, x) * (math.log(z) - _kernels.digamma_kernel(g))
-
-
-def hyp3f2_unit_disc(w: complex, a2: float, rel_tol: float = 1e-15,
-                     cap: int = 100_000) -> complex:
-    """3F2(1, 1, 1 + a2; 2, 2; w) on the open unit disc by direct summation.
-
-    The term ratio tends to |w| < 1, so the tail is geometric and the series
-    needs O(log(tol)/log|w|) terms.
-    """
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise DomainError(f"series is defined on |w| < 1, got |w| = {abs(w)}")
-    total = 1.0 + 0.0j
-    t = 1.0 + 0.0j
-    for k in range(cap):
-        t *= (k + 1.0) * (1.0 + a2 + k) * w / (k + 2.0) ** 2
-        total += t
-        if abs(t) <= rel_tol * abs(total) * (1.0 - abs(w)):
-            return total
-    raise ConvergenceError(
-        f"3F2 unit-disc series did not converge within {cap} terms at |w| = {abs(w)}")
 
 
 def coefficient_sum_contour(params: OscillatorParams, x: float,

@@ -1,15 +1,15 @@
-"""Real special functions: log-gamma, digamma, Pochhammer symbols, confluent
-and generalized hypergeometric series, associated Laguerre polynomials.
+"""Hypergeometric series with domain checks: 1F1, the terminating 3F2(1)
+and the unit-argument pFq with an extrapolated algebraic tail.
 
-All functions are pure and thread-safe.  Gamma-ratio quantities are computed
-in log space with explicit sign tracking; terminating hypergeometric sums use
-compensated accumulation because the alternating (-m)_k factors cancel
-heavily for m of a few tens.
+Each function checks its parameters and calls the matching kernel in
+:mod:`spikedosc._kernels`; a kernel's failure status becomes an exception.
+All functions are pure and thread-safe; terminating sums use compensated
+accumulation because the alternating (-m)_k factors cancel heavily for m of
+a few tens.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,42 +23,6 @@ PFQ_UNIT_CAP = 100_000
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == round(x)
-
-
-def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def digamma(x: float) -> float:
-    """psi(x) = d/dx ln Gamma(x) for x > 0.
-
-    Upward recurrence to x >= 10 followed by the Bernoulli asymptotic
-    expansion; absolute error below 1e-12 on (0, inf).
-    """
-    if x <= 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    return _kernels.digamma_kernel(float(x))
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k by iterated product.
-
-    The product form (rather than a Gamma ratio) makes (a)_k an exact zero
-    when a is a non-positive integer with |a| < k.
-    """
-    if k < 0:
-        raise DomainError(f"pochhammer requires k >= 0, got {k}")
-    return _kernels.pochhammer_kernel(float(a), int(k))
-
-
-def lnpoch_signed(a: float, k: int) -> tuple[float, float]:
-    """(log |(a)_k|, sign) - overflow-safe companion of :func:`pochhammer`."""
-    if k < 0:
-        raise DomainError(f"lnpoch_signed requires k >= 0, got {k}")
-    return _kernels.lnpoch_signed(float(a), int(k))
 
 
 def hyp_1f1(a: float, gamma: float, z: float, cap: int = SERIES_CAP) -> float:
@@ -200,22 +164,3 @@ def hyp_pfq_unit(params: PFqParams, cap: int = PFQ_UNIT_CAP) -> PFqUnitResult:
         float(s), 1e-14, int(cap))
     tail, err = _tail_extrapolation(np.asarray(terms), s)
     return PFqUnitResult(value=total + tail, error_estimate=err, terms_used=nterms)
-
-
-def hyp_2f1_unit(a: float, b: float, c: float) -> float:
-    """Gauss closed form 2F1(a, b; c; 1) = G(c)G(c-a-b)/(G(c-a)G(c-b))."""
-    if c - a - b <= 0.0:
-        raise DivergenceError(f"2F1({a},{b};{c};1) diverges: c-a-b = {c - a - b} <= 0")
-    return math.exp(math.lgamma(c) + math.lgamma(c - a - b)
-                    - math.lgamma(c - a) - math.lgamma(c - b))
-
-
-def laguerre_assoc(n: int, gamma: float, z: float) -> float:
-    """Associated Laguerre polynomial L_n^{(gamma)}(z) via its 1F1 relation."""
-    if n < 0:
-        raise DomainError(f"laguerre_assoc requires n >= 0, got {n}")
-    if gamma <= -1.0:
-        raise DomainError(f"laguerre_assoc requires gamma > -1, got {gamma}")
-    scale = math.exp(math.lgamma(n + gamma + 1.0) - math.lgamma(n + 1.0)
-                     - math.lgamma(gamma + 1.0))
-    return scale * hyp_1f1(-float(n), gamma + 1.0, z)

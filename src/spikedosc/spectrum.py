@@ -39,7 +39,7 @@ class SpectrumResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def eigensolve_symmetric(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

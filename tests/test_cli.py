@@ -146,6 +146,26 @@ class TestWavefun:
                          "--alpha", "1", "--x-count", "-1")
         assert code == 2
 
+    def test_non_finite_series_exit4(self, capsys):
+        # 1F1(-n, gamma, 1600) overflows in the recurrence: refused, not NaN
+        code, out, err = run(capsys, "wavefun", "--A", "0", "--B", "1", "--alpha", "1",
+                             "--method", "series", "--x-start", "40", "--x-count", "1")
+        assert code == 4 and out == ""
+        assert err.startswith("spikedosc: did not converge: ")
+
+    def test_nan_sample_never_printed(self, capsys, monkeypatch):
+        def nan_samples(params, xs, method="series", allow_unproven=False):
+            return perturb.WavefunSamples(xs=np.array([1.0]),
+                                          values=np.array([np.nan]), method=method)
+
+        monkeypatch.setattr(perturb, "wavefun_samples", nan_samples)
+        code, out, err = run(capsys, "wavefun", "--A", "0", "--B", "1", "--alpha", "1",
+                             "--x-count", "1")
+        assert code == 4 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("spikedosc: non-finite result: ")
+
 
 class TestVerifyAndUsage:
     def test_verify_passes(self, capsys):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spikedosc import matel, perturb
+from spikedosc import _kernels, matel, perturb
 from spikedosc.basis import BasisState, OscillatorParams, energy_n, eval_psi
 from spikedosc.errors import (ConvergenceError, DivergenceError, DomainError,
                               SlowConvergenceWarning)
@@ -133,11 +133,20 @@ class TestPsi1Series:
         with pytest.raises(DomainError):
             perturb.psi1_series(p, 0.0)
 
+    def test_non_finite_sum_refused(self):
+        # 1F1(-n, gamma, 1600) overflows in the recurrence long before the
+        # series settles; the sum must be refused, not returned as NaN
+        p = OscillatorParams(A=0.0, B=1.0, alpha=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ConvergenceError, match=r"x = 40\.0 .*= 1600"):
+                perturb.psi1_series(p, 40.0)
+
 
 class TestPsi1ClosedForm:
     def test_node_location(self):
         p = OscillatorParams(A=2.0, B=4.0, alpha=2.0)
-        x0 = math.exp(0.5 * perturb._kernels.digamma_kernel(p.gamma)) / p.B ** 0.25
+        x0 = math.exp(0.5 * _kernels.digamma_kernel(p.gamma)) / p.B ** 0.25
         assert perturb.psi1_alpha2_closed(p, x0) == pytest.approx(0.0, abs=1e-14)
         assert perturb.psi1_alpha2_closed(p, 0.9 * x0) < 0.0
         assert perturb.psi1_alpha2_closed(p, 1.1 * x0) > 0.0
@@ -153,24 +162,31 @@ class TestPsi1ClosedForm:
 
 
 class TestHyp3F2UnitDisc:
-    def test_origin(self):
-        assert perturb.hyp3f2_unit_disc(0.0, 0.5) == 1.0
-
+    # _kernels.s_spike_direct sums S(w) = a w 3F2(1, 1, 1 + a; 2, 2; w)
     def test_log_identity(self):
-        # 3F2(1,1,2;2,2;w) = -ln(1-w)/w
+        # a = 1: S(w) = -ln(1-w)
         for w in (0.3, -0.6, 0.2 + 0.4j):
-            got = perturb.hyp3f2_unit_disc(w, 1.0)
-            want = -np.log(1.0 - w) / w
-            assert got == pytest.approx(want, rel=1e-13)
+            got, status = _kernels.s_spike_direct(w, 1.0, 1e-16, 200000)
+            assert status == _kernels.STATUS_OK
+            assert got == pytest.approx(-np.log(1.0 - w), rel=1e-13)
 
     def test_near_unit_radius(self):
-        got = perturb.hyp3f2_unit_disc(0.9, 0.25, rel_tol=1e-14)
-        again = perturb.hyp3f2_unit_disc(0.9, 0.25, rel_tol=1e-15)
+        got, _ = _kernels.s_spike_direct(0.9, 0.25, 1e-14, 200000)
+        again, _ = _kernels.s_spike_direct(0.9, 0.25, 1e-15, 200000)
         assert got == pytest.approx(again, abs=1e-13)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            perturb.hyp3f2_unit_disc(1.0, 0.5)
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+    def test_continuation_matches_direct_at_switch(self, a):
+        # contour_integrand switches from the continuation about w = 1 to
+        # direct summation at |q| = 0.7, q = 1 - w; points of the contour
+        # Re t = 1 at x^2 = 0.8 give |q| from 0.59 to 0.8
+        psi = _kernels.digamma_kernel(1.0 - a)
+        for y in np.linspace(-0.9, 0.9, 19):
+            q = 0.8 / complex(1.0, y)
+            near, s1 = _kernels.s_spike_near_unit(q, a, psi, 1e-16, 10000)
+            direct, s2 = _kernels.s_spike_direct(1.0 - q, a, 1e-16, 200000)
+            assert s1 == s2 == _kernels.STATUS_OK
+            assert abs(near - direct) <= 1e-13 * abs(direct)
 
 
 class TestPsi1Contour:
