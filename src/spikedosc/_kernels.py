@@ -1,15 +1,17 @@
 """Hot numeric kernels.
 
-Every kernel is plain Python or numpy.  ``psi1_sum`` and ``kummer_grid`` are
-whole-array numpy code: ``kummer_grid`` updates the whole z-grid per
-recurrence step, and ``psi1_sum`` splits the Kummer recurrence into blocks
-advanced in lockstep (Kogge & Stone, IEEE Trans. Comput. C-22 (1973) 786).
+Every kernel is plain Python or numpy.  ``psi1_sum``, ``kummer_grid`` and
+``contour_integrand`` are whole-array numpy code: ``kummer_grid`` updates the
+whole z-grid per recurrence step, ``psi1_sum`` splits the Kummer recurrence
+into blocks advanced in lockstep (Kogge & Stone, IEEE Trans. Comput. C-22
+(1973) 786), and ``contour_integrand`` evaluates every abscissa of the
+contour quadrature in one call, summing ``s_spike_near_unit`` over the whole
+array.
 
 Kernels report failure through status codes rather than exceptions; the
 public wrappers in :mod:`spikedosc.specfun` translate codes into exceptions.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -322,50 +324,67 @@ def s_spike_direct(w: complex, a: float, rel_tol: float, cap: int):
     return total, STATUS_NO_CONVERGENCE
 
 
-def s_spike_near_unit(q: complex, a: float, psi_one_minus_a: float,
+def s_spike_near_unit(q, a: float, psi_one_minus_a: float,
                       rel_tol: float, cap: int):
-    """S(w) for w = 1 - q via the continuation around w = 1.
+    """S(w) for w = 1 - q via the continuation around w = 1, for an array of q.
 
     S = psi(1) - psi(1-a) - log(1-q) - q^{1-a} * sum_{k>=0} q^k / (k+1-a),
     geometrically convergent in |q| < 1 (requires a not a positive integer,
-    which holds for a = alpha/2 < 1 on the contour).
+    which holds for a = alpha/2 < 1 on the contour).  The sum grows by one
+    term per step at every point until every point's last term is below
+    rel_tol of its partial sum; past ``cap`` terms the status is
+    STATUS_NO_CONVERGENCE.
     """
-    phi = 1.0 / (1.0 - a) + 0.0j
-    t = 1.0 + 0.0j
+    q = np.asarray(q, dtype=complex)
+    phi = np.full(q.shape, 1.0 / (1.0 - a), dtype=complex)
+    t = np.ones(q.shape, dtype=complex)
+    # |q|^k / (k+1-a) bounds every point's k-th term, so one scalar against
+    # the smallest |phi| decides for the whole array; that minimum is taken
+    # again only when the bound falls below the last one taken
+    r = float(np.abs(q).max(initial=0.0))
+    rk = 1.0
+    phi_min = math.inf
     k = 0
     status = STATUS_OK
     while True:
         k += 1
         t *= q
-        term = t / (k + 1.0 - a)
-        phi += term
-        if abs(term) < rel_tol * abs(phi):
-            break
+        phi += t * (1.0 / (k + 1.0 - a))
+        rk *= r
+        if rk < rel_tol * (k + 1.0 - a) * phi_min:
+            phi_min = float(np.abs(phi).min(initial=math.inf))
+            if rk < rel_tol * (k + 1.0 - a) * phi_min:
+                break
         if k >= cap:
             status = STATUS_NO_CONVERGENCE
             break
     val = (-EULER_GAMMA - psi_one_minus_a
-           - cmath.log(1.0 - q)
-           - cmath.exp((1.0 - a) * cmath.log(q)) * phi)
+           - np.log(1.0 - q)
+           - np.exp((1.0 - a) * np.log(q)) * phi)
     return val, status
 
 
-def contour_integrand(y: float, c: float, x2: float, sqrt_b: float,
+def contour_integrand(y, c: float, x2: float, sqrt_b: float,
                       g: float, a: float, psi_one_minus_a: float):
     """Smooth (non-oscillatory) part of the inverse-Laplace integrand.
 
-    Full integrand is Re[e^{i sqrt(B) y} * G(y)] with
-    G(y) = e^{sqrt(B) c} (c+iy)^{-gamma} S(1 - x^2/(c+iy)); this returns
-    (Re G, Im G).  The e^{i sqrt(B) y} oscillation is handled by the
-    Fourier-weighted quadrature in the caller.
+    Returns G(y) = e^{sqrt(B) c} (c+iy)^{-gamma} S(1 - x^2/(c+iy)) for an
+    array of y (or a scalar); the full integrand is Re[e^{i sqrt(B) y} G(y)],
+    whose oscillation the caller's quadrature handles.  With q = x^2/(c+iy),
+    points with |q| <= 0.7 take the continuation about w = 1 as one array;
+    the rest take the direct sum one point at a time.  The default abscissa
+    c = 1.5 x^2 + 1/sqrt(B) of :func:`spikedosc.perturb.coefficient_sum_contour`
+    keeps |q| < 2/3, so only a caller-chosen c < x^2/0.7 reaches the direct
+    sum.
     """
-    t = complex(c, y)
+    y = np.asarray(y, dtype=float)
+    t = c + 1j * y.ravel()
     q = x2 / t
+    s = np.empty_like(q)
+    near = np.abs(q) <= 0.7
     # module-global lookups, so a tracer that rebinds these names sees each call
-    if abs(q) <= 0.7:
-        s_val, _ = s_spike_near_unit(q, a, psi_one_minus_a, 1e-16, 10000)
-    else:
-        s_val, _ = s_spike_direct(1.0 - q, a, 1e-16, 200000)
-    gfac = cmath.exp(sqrt_b * c - g * cmath.log(t))
-    val = gfac * s_val
-    return val.real, val.imag
+    if near.any():
+        s[near], _ = s_spike_near_unit(q[near], a, psi_one_minus_a, 1e-16, 10000)
+    for i in np.flatnonzero(~near):
+        s[i], _ = s_spike_direct(1.0 - complex(q[i]), a, 1e-16, 200000)
+    return (np.exp(sqrt_b * c - g * np.log(t)) * s).reshape(y.shape)

@@ -4,19 +4,22 @@ Subcommands: matelem (matrix-element tables), spectrum (variational sweep),
 perturb (weak-coupling energy series), wavefun (first-order wavefunction
 correction on a grid), verify (self-check against the independent oracles).
 
-Exit codes: 0 success, 2 precondition or usage error, 3 documented series
-divergence, 4 numerical non-convergence or a non-finite result.  Output is
-standard JSON: a NaN or infinity is never printed; the command exits 4
-instead, with one ``spikedosc: non-finite result: ...`` line on stderr and
-nothing on stdout.  All floats are printed with 17 significant digits so
-output re-parses bit-exactly.  Warnings raised by wavefun go to stderr, one
-``spikedosc: warning: ...`` line each.
+Exit codes: 0 success, 2 precondition or usage error (including a --N
+whose N x N arrays would not fit in physical memory), 3 documented series
+divergence, 4 numerical non-convergence, a non-finite result, or an
+allocation that failed (one ``spikedosc: out of memory: ...`` line on
+stderr).  JSON and CSV output never hold a NaN or infinity; the command
+exits 4 instead, with one ``spikedosc: non-finite result: ...`` line on
+stderr and nothing on stdout.  All floats are printed with 17 significant
+digits so output re-parses bit-exactly.  Warnings raised by wavefun go to
+stderr, one ``spikedosc: warning: ...`` line each.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -33,6 +36,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 EXIT_NO_CONVERGENCE = 4
+
+# The most float64 N x N arrays a command holds at once: the factor, the
+# table and an outer product in matelem; the Hamiltonian, eigh's copy,
+# eigenvectors and workspace in spectrum.
+_NN_ARRAYS = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +119,22 @@ def _params(args, lam: float | None = None) -> OscillatorParams:
                             lam=getattr(args, "lam", 0.0) if lam is None else lam)
 
 
+def _require_memory(N: int) -> None:
+    """Refuse a dimension whose N x N arrays would exceed physical memory,
+    before anything is allocated."""
+    need = _NN_ARRAYS * 8 * N * N
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: MemoryError decides
+        return
+    if need > have:
+        raise DomainError(
+            f"N = {N} needs about {need / 2**30:.3g} GiB for its N x N arrays, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory")
+
+
 def _cmd_matelem(args) -> int:
+    _require_memory(args.N)
     table = build_table(_params(args), args.N)
     _emit(table.to_csv() if args.format == "csv" else table.to_json(), args.output)
     return EXIT_OK
@@ -130,6 +153,7 @@ def _cmd_spectrum(args) -> int:
             raise DomainError(f"--N-list must be comma-separated integers, got {args.N_list!r}")
     else:
         ns = DEFAULT_N_LADDER
+    _require_memory(max(ns, default=0))
     results = spectrum.variational_sweep(params, ns)
     payload = {
         "results": [r.to_dict() for r in results],
@@ -256,8 +280,12 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"spikedosc: did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:  # json.dumps(allow_nan=False) met NaN or inf
+    except ValueError as exc:  # JSON or CSV output met NaN or inf
         print(f"spikedosc: non-finite result: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except MemoryError as exc:
+        print(f"spikedosc: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
 

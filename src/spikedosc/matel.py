@@ -112,6 +112,9 @@ class MatrixElementTable:
     kind: str = "x_minus_alpha"
 
     def to_csv(self) -> str:
+        """``m,n,value`` rows; raises ValueError on a non-finite value."""
+        if not np.isfinite(self.values).all():
+            raise ValueError("table holds a non-finite value")
         lines = ["m,n,value"]
         for m in range(self.N):
             for n in range(self.N):

@@ -9,7 +9,9 @@ the first-order correction
 
 evaluated three ways: direct summation, the alpha = 2 logarithmic closed
 form, and (for alpha < 2) an inverse-Laplace contour integral that converts
-the slowly converging sum into a rapidly convergent Fourier-type integral.
+the slowly converging sum into a rapidly convergent Fourier-type integral,
+evaluated in numpy by Gauss-Legendre sums over half-periods extrapolated
+with Wynn's epsilon algorithm.
 """
 
 from __future__ import annotations
@@ -179,54 +181,111 @@ def psi1_alpha2_closed(params: OscillatorParams, x: float) -> float:
     return coeff * _envelope(params, x) * (math.log(z) - _kernels.digamma_kernel(g))
 
 
+# 20-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their
+# weights, correctly rounded from 50-digit values.
+_GL20_HALF = (
+    (0.07652652113349734, 0.15275338713072584),
+    (0.22778585114164507, 0.14917298647260374),
+    (0.37370608871541955, 0.14209610931838204),
+    (0.5108670019508271, 0.13168863844917664),
+    (0.636053680726515, 0.11819453196151841),
+    (0.7463319064601508, 0.10193011981724044),
+    (0.8391169718222188, 0.08327674157670475),
+    (0.912234428251326, 0.06267204833410907),
+    (0.9639719272779138, 0.04060142980038694),
+    (0.9931285991850949, 0.017614007139152118),
+)
+# nodes mapped to [0, 1], and weights summing to 1
+_GL_U = np.array([0.5 - 0.5 * u for u, _ in reversed(_GL20_HALF)]
+                 + [0.5 + 0.5 * u for u, _ in _GL20_HALF])
+_GL_W = np.array([0.5 * w for _, w in reversed(_GL20_HALF)]
+                 + [0.5 * w for _, w in _GL20_HALF])
+_HALF_PERIODS = 30
+_PANEL_REACH = 3.0
+
+
+def _wynn_epsilon(partial: np.ndarray) -> tuple[float, float]:
+    """Limit of a sequence of partial sums by Wynn's epsilon algorithm
+    (MTAC 10 (1956) 91), with an error estimate.
+
+    Each even column of the epsilon table is a sequence of extrapolations;
+    its last entry uses every partial sum.  The entry returned is the one
+    whose distance to the entry above it in its column plus the distance to
+    the previous even column's last entry is least, as in QUADPACK's QELG,
+    and that sum is the error estimate.
+    """
+    even = [partial]
+    older, old = np.zeros(len(partial) + 1), partial
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, len(partial)):
+            older, old = old, older[1:len(old)] + 1.0 / (old[1:] - old[:-1])
+            if k % 2 == 0:
+                even.append(old)
+    best, err = float(partial[-1]), abs(float(partial[-1] - partial[-2]))
+    for prev, col in zip(even, even[1:]):
+        if len(col) < 2:
+            break
+        e = abs(float(col[-1] - col[-2])) + abs(float(col[-1] - prev[-1]))
+        if e < err:  # False for a NaN, which an exactly repeated sum leaves
+            best, err = float(col[-1]), e
+    return best, err
+
+
 def coefficient_sum_contour(params: OscillatorParams, x: float,
-                            c: float | None = None,
-                            y_max: float | None = None) -> float:
+                            c: float | None = None) -> float:
     """sum_{n>=1} (alpha/2)_n / (n n!) 1F1(-n, gamma, sqrt(B) x^2) via the
     inverse-Laplace contour Re t = c.
 
     The sum equals B^{(1-gamma)/2} Gamma(gamma)/(2 pi) *
     Int_{-inf}^{inf} e^{sqrt(B)(c+iy)} (c+iy)^{-gamma} S(1 - x^2/(c+iy)) dy
     with S(w) = (alpha/2) w 3F2(1,1,1+alpha/2; 2,2; w).  The requirement
-    c > x^2 keeps |1 - x^2/(c+iy)| < 1.  Conjugate symmetry folds the line
-    to y >= 0, and the e^{i sqrt(B) y} oscillation is handled by
-    Fourier-weighted quadrature: the |c+iy|^{-gamma} majorant alone decays
-    too slowly near gamma = 3/2 for plain truncation, but the oscillatory
-    weight gives the integral superalgebraic convergence in the cycle count.
-    """
-    # imported here: scipy.integrate costs ~0.6 s and ~50 MB of memory to
-    # load, and no other route of the package needs it
-    from scipy.integrate import IntegrationWarning, quad
+    c > x^2 keeps |1 - x^2/(c+iy)| < 1; the default c = 1.5 x^2 + 1/sqrt(B)
+    keeps sqrt(B) c, and with it the cancellation in the integral, small.
+    Conjugate symmetry folds the line to y >= 0, where the integrand is
+    Re[e^{i sqrt(B) y} G(y)] with G from :func:`_kernels.contour_integrand`.
 
+    As in QUADPACK's QAWF (Piessens et al., QUADPACK, Springer 1983), the
+    integral is summed over consecutive half-periods pi/sqrt(B) and the
+    partial sums are extrapolated by Wynn's epsilon algorithm: the
+    |c+iy|^{-gamma} majorant alone decays too slowly near gamma = 3/2 for
+    plain truncation, but the half-period sums alternate in sign.  Each
+    panel takes a 20-point Gauss-Legendre rule, and every abscissa goes to
+    one integrand call.  A ConvergenceError is raised when the error
+    estimate (epsilon table plus rounding) exceeds 1e-6 of
+    max(|integral|, 1).
+    """
     if x <= 0.0:
         raise DomainError(f"contour evaluation requires x > 0, got {x}")
     x2 = x * x
-    if c is None:
-        c = 2.0 * x2 + 1.0
-    if c <= x2:
-        raise DomainError(f"contour abscissa must satisfy c > x^2 ({c} <= {x2})")
     g = params.gamma
     a2 = 0.5 * params.alpha
     sb = math.sqrt(params.B)
-    psi_one_minus_a = _kernels.digamma_kernel(1.0 - a2)
-
-    def g_re(y: float) -> float:
-        return _kernels.contour_integrand(y, c, x2, sb, g, a2, psi_one_minus_a)[0]
-
-    def g_im(y: float) -> float:
-        return _kernels.contour_integrand(y, c, x2, sb, g, a2, psi_one_minus_a)[1]
-
-    upper = np.inf if y_max is None else float(y_max)
-    # QUADPACK sometimes flags a benign "bad behavior in one cycle" while the
-    # extrapolated result is fully converged, so convergence is judged by the
-    # returned error estimates rather than the warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        ic, err_c = quad(g_re, 0.0, upper, weight="cos", wvar=sb, limit=400)[:2]
-        is_, err_s = quad(g_im, 0.0, upper, weight="sin", wvar=sb, limit=400)[:2]
-    integral = 2.0 * (ic - is_)
-    err = 2.0 * (err_c + err_s)
-    scale = max(abs(ic) + abs(is_), 1.0)
+    if c is None:
+        c = 1.5 * x2 + 1.0 / sb
+    if c <= x2:
+        raise DomainError(f"contour abscissa must satisfy c > x^2 ({c} <= {x2})")
+    half = math.pi / sb
+    # G is analytic in |Im y| < c: a panel starting at y0 >= 0 is at most
+    # _PANEL_REACH times its distance |c + i y0| from the branch point y = ic,
+    # which only ever splits the first half-period
+    edges = [0.0]
+    while (end := edges[-1] + _PANEL_REACH * math.hypot(c, edges[-1])) < half:
+        edges.append(end)
+    n_first = len(edges)
+    edges = np.concatenate((edges, half * np.arange(1, _HALF_PERIODS + 1)))
+    width = np.diff(edges)
+    y = edges[:-1, None] + width[:, None] * _GL_U
+    G = _kernels.contour_integrand(y, c, x2, sb, g, a2,
+                                   _kernels.digamma_kernel(1.0 - a2))
+    f = (np.exp(1j * sb * y) * G).real
+    panel_sums = width * (f @ _GL_W)
+    half_sums = np.concatenate(([panel_sums[:n_first].sum()], panel_sums[n_first:]))
+    value, err = _wynn_epsilon(np.cumsum(half_sums))
+    # rounding, as QUADPACK's rules bound it: 50 ulps of the integral of |f|,
+    # from which the alternating panels cancel down to the value
+    err += 50.0 * np.finfo(float).eps * float(width @ (np.abs(f) @ _GL_W))
+    integral, err = 2.0 * value, 2.0 * err
+    scale = max(abs(integral), 1.0)
     if err > 1e-6 * scale:
         raise ConvergenceError(
             f"contour quadrature error estimate {err:.3e} exceeds tolerance "
@@ -234,8 +293,8 @@ def coefficient_sum_contour(params: OscillatorParams, x: float,
     return params.B ** (0.5 * (1.0 - g)) * math.gamma(g) / (2.0 * math.pi) * integral
 
 
-def psi1_contour(params: OscillatorParams, x: float, c: float | None = None,
-                 y_max: float | None = None) -> float:
+def psi1_contour(params: OscillatorParams, x: float,
+                 c: float | None = None) -> float:
     """First-order wavefunction correction via the contour representation.
 
     Valid for alpha < 2, where the fractional power in S(w) is genuinely
@@ -247,7 +306,7 @@ def psi1_contour(params: OscillatorParams, x: float, c: float | None = None,
             f"contour route requires alpha < 2 (got {params.alpha}); "
             "use psi1_alpha2_closed at alpha = 2")
     _check_psi1_domain(params, x, allow_unproven=False)
-    s = coefficient_sum_contour(params, x, c=c, y_max=y_max)
+    s = coefficient_sum_contour(params, x, c=c)
     return psi1_prefactor(params) * _envelope(params, x) * s
 
 
@@ -260,6 +319,9 @@ class WavefunSamples:
     method: str
 
     def to_csv(self) -> str:
+        """``x,value,method`` rows; raises ValueError on a non-finite value."""
+        if not (np.isfinite(self.xs).all() and np.isfinite(self.values).all()):
+            raise ValueError("samples hold a non-finite value")
         lines = ["x,value,method"]
         for x, v in zip(self.xs, self.values):
             lines.append(f"{x:.17g},{v:.17g},{self.method}")

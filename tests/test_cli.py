@@ -2,12 +2,16 @@
 determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spikedosc import perturb
+from spikedosc import cli, matel, perturb
 from spikedosc.basis import OscillatorParams
 from spikedosc.cli import main
 from spikedosc.errors import SlowConvergenceWarning
@@ -165,6 +169,74 @@ class TestWavefun:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("spikedosc: non-finite result: ")
+
+
+class TestResourceRefusals:
+    @pytest.mark.parametrize("argv", [
+        ("matelem", "--N", "10000000"),
+        ("spectrum", "--lam", "1", "--N", "10000000"),
+        ("spectrum", "--lam", "1", "--N-list", "4,10000000"),
+    ])
+    def test_huge_n_refused_before_allocating(self, capsys, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("the factor was built")
+
+        monkeypatch.setattr(matel, "_factor", never)
+        code, out, err = run(capsys, argv[0], "--A", "0", "--B", "1",
+                             "--alpha", "1", *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("spikedosc: precondition violated: N = 10000000")
+
+    def test_memory_error_exit4(self, capsys, monkeypatch):
+        def exhausted(params, N):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "build_table", exhausted)
+        code, out, err = run(capsys, "matelem", "--A", "0", "--B", "1",
+                             "--alpha", "1", "--N", "4")
+        assert code == 4 and out == ""
+        assert err.splitlines() == ["spikedosc: out of memory: Unable to allocate 7.28 TiB"]
+
+    @pytest.mark.parametrize("command", ["matelem", "wavefun"])
+    def test_nan_csv_never_printed(self, capsys, monkeypatch, command):
+        def nan_table(params, N):
+            values = np.eye(N)
+            values[0, 1] = np.nan
+            return matel.MatrixElementTable(params=params, N=N, values=values)
+
+        def nan_samples(params, xs, method="series", allow_unproven=False):
+            return perturb.WavefunSamples(xs=np.array([1.0]),
+                                          values=np.array([np.nan]), method=method)
+
+        monkeypatch.setattr(cli, "build_table", nan_table)
+        monkeypatch.setattr(perturb, "wavefun_samples", nan_samples)
+        extra = ("--N", "2") if command == "matelem" else ("--x-count", "1")
+        code, out, err = run(capsys, command, "--A", "0", "--B", "1", "--alpha", "1",
+                             *extra, "--format", "csv")
+        assert code == 4 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("spikedosc: non-finite result: ")
+
+
+def test_contour_route_never_imports_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "\n".join([
+        "import sys",
+        "from spikedosc import cli, perturb",
+        "from spikedosc.basis import OscillatorParams",
+        "assert cli.main(['wavefun', '--A', '0', '--B', '1', '--alpha', '1',",
+        "                 '--method', 'contour', '--x-start', '0.5', '--x-stop', '2',",
+        "                 '--x-count', '4']) == 0",
+        "perturb.psi1_contour(OscillatorParams(A=0.0, B=1.0, alpha=1.0), 1.0)",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestVerifyAndUsage:

@@ -1,6 +1,7 @@
 """Perturbation expansions: energy coefficients, divergence guards, and the
 three routes to the first-order wavefunction correction."""
 
+import cmath
 import math
 import warnings
 
@@ -161,6 +162,33 @@ class TestPsi1ClosedForm:
             perturb.psi1_alpha2_closed(OscillatorParams(A=0.0, B=1.0, alpha=1.0), 1.0)
 
 
+def near_unit_loop(q, a, psi_one_minus_a):
+    """S(1 - q) by the continuation about w = 1, one term at a time."""
+    phi = 1.0 / (1.0 - a) + 0.0j
+    t = 1.0 + 0.0j
+    k = 0
+    while True:
+        k += 1
+        t *= q
+        term = t / (k + 1.0 - a)
+        phi += term
+        if abs(term) < 1e-16 * abs(phi):
+            break
+    return (-_kernels.EULER_GAMMA - psi_one_minus_a - cmath.log(1.0 - q)
+            - cmath.exp((1.0 - a) * cmath.log(q)) * phi)
+
+
+def contour_g_point(y, c, x2, sqrt_b, g, a, psi_one_minus_a):
+    """G(y) of the contour integrand at one point, without numpy."""
+    t = complex(c, y)
+    q = x2 / t
+    if abs(q) <= 0.7:
+        s = near_unit_loop(q, a, psi_one_minus_a)
+    else:
+        s, _ = _kernels.s_spike_direct(1.0 - q, a, 1e-16, 200000)
+    return cmath.exp(sqrt_b * c - g * cmath.log(t)) * s
+
+
 class TestHyp3F2UnitDisc:
     # _kernels.s_spike_direct sums S(w) = a w 3F2(1, 1, 1 + a; 2, 2; w)
     def test_log_identity(self):
@@ -187,6 +215,34 @@ class TestHyp3F2UnitDisc:
             direct, s2 = _kernels.s_spike_direct(1.0 - q, a, 1e-16, 200000)
             assert s1 == s2 == _kernels.STATUS_OK
             assert abs(near - direct) <= 1e-13 * abs(direct)
+
+    @pytest.mark.parametrize("a", [0.15, 0.5, 0.975])
+    def test_near_unit_array_matches_loop(self, a):
+        # one array call against the per-point loop; the array stops when
+        # its slowest point has converged, so values agree to rounding
+        psi = _kernels.digamma_kernel(1.0 - a)
+        q = 0.7 * np.exp(1j * np.linspace(-1.5, 1.5, 31)) * np.linspace(1.0, 1e-3, 31)
+        got, status = _kernels.s_spike_near_unit(q, a, psi, 1e-16, 10000)
+        assert status == _kernels.STATUS_OK and got.shape == q.shape
+        want = np.array([near_unit_loop(v, a, psi) for v in q])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        _, status = _kernels.s_spike_near_unit(q, a, psi, 1e-16, 5)
+        assert status == _kernels.STATUS_NO_CONVERGENCE
+
+    def test_contour_integrand_array_matches_points(self):
+        # |q| = 1.6/|2 + iy| spans both branches: direct sum for y < 1.1
+        x2, c, sqrt_b, g, a = 1.6, 2.0, 0.8, 2.5, 0.6
+        psi = _kernels.digamma_kernel(1.0 - a)
+        y = np.linspace(0.0, 40.0, 60).reshape(6, 10)
+        got = _kernels.contour_integrand(y, c, x2, sqrt_b, g, a, psi)
+        assert got.shape == y.shape
+        want = np.array([contour_g_point(v, c, x2, sqrt_b, g, a, psi)
+                         for v in y.ravel()]).reshape(y.shape)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        one = _kernels.contour_integrand(0.5, c, x2, sqrt_b, g, a, psi)
+        assert one.shape == ()
+        assert complex(one) == pytest.approx(
+            contour_g_point(0.5, c, x2, sqrt_b, g, a, psi), rel=1e-14)
 
 
 class TestPsi1Contour:
@@ -221,6 +277,63 @@ class TestPsi1Contour:
         p = OscillatorParams(A=0.0, B=1.0, alpha=0.5)
         with pytest.raises(ConvergenceError):
             perturb.psi1_contour(p, 3.0, c=38.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    @pytest.mark.parametrize("x", [1.0, 2.0])
+    def test_direct_branch_abscissa(self, alpha, x, monkeypatch):
+        # at c = 1.2 x^2, |q| = x^2/|c + iy| reaches 0.83 near y = 0, so those
+        # points take the direct sum; the default abscissa keeps |q| < 2/3
+        calls = []
+        direct = _kernels.s_spike_direct
+
+        def counted(*args):
+            calls.append(args)
+            return direct(*args)
+
+        p = OscillatorParams(A=0.0, B=1.0, alpha=alpha)
+        base = perturb.psi1_contour(p, x)
+        assert not calls
+        monkeypatch.setattr(_kernels, "s_spike_direct", counted)
+        shifted = perturb.psi1_contour(p, x, c=1.2 * x * x)
+        assert calls
+        assert shifted == pytest.approx(base, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.95])
+    def test_matches_tight_quadpack(self, alpha):
+        # QUADPACK's QAWF at tight tolerances on the per-point integrand, on
+        # the line c = 1.2 x^2 + 0.5/sqrt(B): the integral does not depend on
+        # c, and this line cancels less than the default one
+        integrate = pytest.importorskip("scipy.integrate")
+        a = 0.5 * alpha
+        psi = _kernels.digamma_kernel(1.0 - a)
+
+        def reference(gamma, B, x):
+            sb, x2 = math.sqrt(B), x * x
+            c = 1.2 * x2 + 0.5 / sb
+
+            def g(y):
+                return contour_g_point(y, c, x2, sb, gamma, a, psi)
+
+            kw = dict(wvar=sb, epsabs=1e-14, epsrel=1e-13, limit=400, limlst=200)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                re_part = integrate.quad(lambda y: g(y).real, 0.0, np.inf,
+                                         weight="cos", **kw)[0]
+                im_part = integrate.quad(lambda y: g(y).imag, 0.0, np.inf,
+                                         weight="sin", **kw)[0]
+            return (B ** (0.5 * (1.0 - gamma)) * math.gamma(gamma) / math.pi
+                    * (re_part - im_part))
+
+        worst = 0.0
+        for gamma in (1.5, 2.5, 4.0):
+            for B in (0.25, 1.0):
+                for x in (0.25, 0.5, 1.0, 2.0, 3.0):
+                    assert math.sqrt(B) * x * x <= 9.0
+                    want = reference(gamma, B, x)
+                    got = perturb.coefficient_sum_contour(
+                        params_for_gamma(gamma, B=B, alpha=alpha), x)
+                    worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-10
 
 
 class TestWavefunSamples:
