@@ -4,7 +4,8 @@ Every kernel is plain Python or numpy.  ``psi1_sum``, ``kummer_grid`` and
 ``contour_integrand`` are whole-array numpy code: ``kummer_grid`` updates the
 whole z-grid per recurrence step, ``psi1_sum`` splits the Kummer recurrence
 into blocks advanced in lockstep (Kogge & Stone, IEEE Trans. Comput. C-22
-(1973) 786), and ``contour_integrand`` evaluates every abscissa of the
+(1973) 786) and averages its ringing partial sums under a smooth window at
+fixed checkpoints, and ``contour_integrand`` evaluates every abscissa of the
 contour quadrature in one call, summing ``s_spike_near_unit`` over the whole
 array.
 
@@ -164,10 +165,27 @@ PSI1_CHUNK = 8192  # terms per numpy pass of psi1_sum; bounds its memory
 # Cost of one lockstep step over all blocks relative to one scalar stitch
 # step; the block length sqrt(L / _LOCKSTEP_COST) balances the two loops.
 _LOCKSTEP_COST = 20.0
+# Term counts at which psi1_sum evaluates its windowed mean (the cap is the
+# last one), and the agreement of two consecutive means that stops the sum.
+_CHECKPOINTS = (8192, 16384, 32768, 65536)
+_CHECK_TOL = 1e-9
+
+
+def _kummer_work(size: int):
+    """Block arrays for _kummer_continue runs of up to ``size`` steps.
+
+    The block length m is fixed by ``size``; a shorter run uses the first
+    columns, so a run cut short gives the same values as far as it goes.
+    """
+    m = max(1, int(math.sqrt(size / _LOCKSTEP_COST)))
+    nb = max(1, -(-size // m))
+    return (m, np.arange(m, dtype=float)[:, None], m * np.arange(nb, dtype=float),
+            np.empty((m, nb)), np.empty((m, nb)),
+            np.empty((m + 2, nb)), np.empty((m + 2, nb)), np.empty(nb))
 
 
 def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
-                     out: np.ndarray) -> None:
+                     out: np.ndarray, work) -> None:
     """Fill out[i] = 1F1(-(n + 1 + i), g, z) from f_{n-1} = fprev, f_n = f
     by the recurrence (g + k) f_{k+1} = (2k + g - z) f_k - k f_{k-1}.
 
@@ -176,7 +194,9 @@ def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
     solutions of every block (initial pairs (1, 0) and (0, 1)) are advanced
     in lockstep as arrays, a scalar pass over the blocks carries
     (f_{k-1}, f_k) from block to block, and each block is then the
-    combination of its two solutions with its carried pair.
+    combination of its two solutions with its carried pair.  ``work`` holds
+    the block arrays, from :func:`_kummer_work` for at least ``out.size``
+    steps.
     """
     count = out.shape[0]
     i = 0
@@ -188,28 +208,27 @@ def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
     rest = count - i
     if rest == 0:
         return
-    m = max(1, int(math.sqrt(rest / _LOCKSTEP_COST)))
+    m, col, row, step, back, u, v, tmp = work
     nb = -(-rest // m)
+    step, back, u, v, tmp = step[:, :nb], back[:, :nb], u[:, :nb], v[:, :nb], tmp[:nb]
     # k[j, b] = n + b m + j: step j of block b
-    k = np.arange(n, n + m * nb, dtype=float).reshape(nb, m).T.copy()
-    den = g + k
-    step = 2.0 * k + g - z
+    k = np.add(col, row[:nb], out=back)
+    k += n
+    den = np.add(k, g, out=u[:m])  # u is free until the solutions start
+    np.multiply(k, 2.0, out=step)
+    step += g
+    step -= z
     step /= den
-    back = np.divide(k, den, out=k)
-    del den
+    back /= den
     # u[j + 2], v[j + 2]: value after step j of the solutions that start
     # from (f_{k-1}, f_k) = (1, 0) and (0, 1)
-    u = np.empty((m + 2, nb))
-    v = np.empty((m + 2, nb))
     u[0] = v[1] = 1.0
     u[1] = v[0] = 0.0
-    tmp = np.empty(nb)
     for j in range(m):
         for sol in (u, v):
             np.multiply(step[j], sol[j + 1], out=sol[j + 2])
             np.multiply(back[j], sol[j], out=tmp)
             np.subtract(sol[j + 2], tmp, out=sol[j + 2])
-    del step, back, tmp
     starts_prev, starts = [], []
     for u1, v1, u2, v2 in zip(u[m].tolist(), v[m].tolist(),
                               u[m + 1].tolist(), v[m + 1].tolist()):
@@ -220,7 +239,101 @@ def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
     vals *= starts_prev
     v[2:] *= starts
     vals += v[2:]
-    out[i:] = vals.T.reshape(-1)[:rest]
+    full = rest // m
+    out[i:i + full * m].reshape(full, m)[...] = vals[:, :full].T
+    out[i + full * m:] = vals[:rest - full * m, nb - 1]
+
+
+def _psi1_chunk(a: float, g: float, z: float, rel_tol: float, state, L: int,
+                buf):
+    """Terms n + 1 .. n + L of the psi1 series from the state
+    (n, total, comp, c, fprev, f) after n terms: total + comp is the
+    compensated partial sum, c the n-th coefficient and fprev, f the
+    1F1 values of orders n - 1 and n.
+
+    Returns (ns, quiet, partial, after): the term indices, whether each
+    term is below rel_tol times its partial sum, and the compensated
+    partial sums, as views into ``buf`` (a :class:`_Psi1Buffers`), and
+    after(e), the state after the first e of them.  Coefficients come from
+    the cumprod of their ratios, 1F1 values from _kummer_continue, and
+    partial sums from the cumsum plus the cumsum of the exact rounding
+    error of each addition (Knuth's TwoSum), which is Neumaier's
+    compensated sum term for term.  A run from the same state gives the
+    same values for any L, so a chunk can be summed again.
+    """
+    n, total, comp, c, fprev, f = state
+    ns = np.add(buf.ramp[:L], n, out=buf.idx[:L])
+    tmp = buf.tmp[:L]
+    cs = np.add(ns, a, out=buf.coef[:L])
+    cs -= 1.0
+    cs *= np.subtract(ns, 1.0, out=tmp)
+    cs /= np.multiply(ns, ns, out=tmp)
+    cs[0] *= c
+    np.cumprod(cs, out=cs)
+    fs = buf.kum[:L]
+    _kummer_continue(fprev, f, n, g, z, fs, buf.work)
+    t = np.multiply(cs, fs, out=buf.terms[1:L + 1])
+    buf.terms[0] = total
+    sums = np.cumsum(buf.terms[:L + 1], out=buf.sums[:L + 1])
+    before, s = sums[:L], sums[1:]
+    # TwoSum: err = (before - (s - virt)) + (t - virt) with virt = s - before
+    virt = np.subtract(s, before, out=tmp)
+    te = np.subtract(s, virt, out=buf.errs[1:L + 1])
+    np.subtract(before, te, out=te)
+    te += np.subtract(t, virt, out=virt)
+    buf.errs[0] = comp
+    cm = np.cumsum(buf.errs[:L + 1], out=buf.errs[:L + 1])[1:]
+    partial = np.add(s, cm, out=tmp)
+    lim = np.abs(partial, out=buf.wts[:L])
+    lim *= rel_tol
+    quiet = np.less(np.abs(t, out=t), lim, out=buf.quiet[:L])
+    np.copyto(t, partial)  # the terms' slots hold the partial sums from here
+
+    def after(e):
+        return (n + e, float(s[e - 1]), float(cm[e - 1]), float(cs[e - 1]),
+                float(fs[e - 2]) if e >= 2 else f, float(fs[e - 1]))
+
+    return ns, quiet, t, after
+
+
+class _Psi1Buffers:
+    """The arrays psi1_sum works in, for chunks of up to ``size`` terms,
+    allocated once per call so that its chunks reuse the same pages."""
+
+    def __init__(self, size: int):
+        self.ramp = np.arange(1.0, size + 1.0)
+        self.idx = np.empty(size)
+        self.coef = np.empty(size)
+        self.kum = np.empty(size)
+        self.tmp = np.empty(size)
+        self.wts = np.empty(size)
+        self.quiet = np.empty(size, dtype=bool)
+        # slot 0 of each carries the running total (compensation) into the cumsum
+        self.terms = np.empty(size + 1)
+        self.sums = np.empty(size + 1)
+        self.errs = np.empty(size + 1)
+        self.work = _kummer_work(size)
+
+
+def _window_sums(ns: np.ndarray, partial: np.ndarray, N: int, buf):
+    """Sums of w(n) S_n and of w(n) over the n of ``ns`` in [N/2, N], with
+    w(n) = sin^4(pi (sqrt(n) - sqrt(N/2)) / (sqrt(N) - sqrt(N/2))) / sqrt(n):
+    a Hann^2 window in s = sqrt(n), with ds = dn / (2 sqrt(n)).  The
+    weights are formed in ``buf.tmp`` and ``buf.wts``."""
+    first = int(ns[0])
+    lo = max(0, (N + 1) // 2 - first)
+    hi = min(ns.shape[0], N + 1 - first)
+    if lo >= hi:
+        return 0.0, 0.0
+    s0 = math.sqrt(0.5 * N)
+    sq = np.sqrt(ns[lo:hi], out=buf.tmp[:hi - lo])
+    w = np.subtract(sq, s0, out=buf.wts[:hi - lo])
+    w *= math.pi / (math.sqrt(N) - s0)
+    np.sin(w, out=w)
+    np.square(w, out=w)
+    np.square(w, out=w)
+    w /= sq
+    return float(np.dot(w, partial[lo:hi])), float(w.sum())
 
 
 def psi1_sum(a: float, g: float, z: float, rel_tol: float, quiet_run: int,
@@ -228,86 +341,113 @@ def psi1_sum(a: float, g: float, z: float, rel_tol: float, quiet_run: int,
     """Sum_{n>=1} (a)_n / (n n!) * 1F1(-n, g, z) for z >= 0, with the 1F1
     values generated by upward recurrence.
 
-    Returns (plain partial sum, oscillation-averaged sum, terms used, status).
-    The sum stops once quiet_run consecutive terms are each below rel_tol
-    times the running sum, or at cap terms (status STATUS_NO_CONVERGENCE).
-    The averaged sum is the mean of the partial sums over the final window of
-    one asymptotic oscillation period 2*pi*sqrt(n/z); for slowly decaying
-    coefficient sequences (a -> 1) it removes the leading oscillatory tail.
+    Returns (plain partial sum, windowed mean, terms used, status, error
+    estimate).  By Fejer's formula for Laguerre polynomials (Szego,
+    Orthogonal Polynomials, Thm 8.22.4) the partial sums S_n ring like
+    cos(2 sqrt(n z)), with the fixed period pi / sqrt(z) in s = sqrt(n).
+    The windowed mean E(N) is the mean of S_n over n in [N/2, N] under the
+    smooth window of :func:`_window_sums`, which suppresses that ringing
+    far below its amplitude.  E is evaluated at the checkpoints 8192,
+    16384, 32768 and 65536 below the cap and at the cap.  The error
+    estimate is |E(N_k) - E(N_{k-1})| at the last checkpoint reached (inf
+    before the second), and the sum stops with STATUS_OK once it is at most
+    1e-9 max(1, |E|).  The sum also stops with STATUS_OK once quiet_run
+    consecutive terms are each below rel_tol times the running sum; the
+    stop then counts as a checkpoint.  The windowed mean returned is E at
+    the stop.  A sum that reaches the cap without passing either test
+    returns STATUS_NO_CONVERGENCE.
 
-    Terms are processed PSI1_CHUNK at a time as numpy arrays: coefficients
-    by cumprod of their ratios, 1F1 values by _kummer_continue, and partial
-    sums by cumsum plus the cumsum of the exact rounding error of each
-    addition (Knuth's TwoSum), which is Neumaier's compensated sum term for
-    term.  The chunk buffers are allocated once per call.
+    Terms are summed PSI1_CHUNK at a time by :func:`_psi1_chunk`.  Each
+    chunk adds its share of the weighted sums of every window it overlaps,
+    so no partial sum outlives its chunk; the window of a quiet stop, which
+    is not known in advance, is summed again from the saved chunk-start
+    states.  The buffers are allocated once per call.
     """
-    fprev = 1.0
     f = 1.0 - z / g
-    c = a  # (a)_1 / (1 * 1!)
-    total = c * f
-    comp = 0.0
-    quiet = 0
+    state = (1, a * f, 0.0, a, 1.0, f)  # (a)_1 / (1 * 1!) = a
     n = 1
-    if z > 0.0:
-        win = int(2.0 * math.pi * math.sqrt(cap / z)) + 1
-    else:
-        win = 1
-    win = max(1, min(win, cap))
-    recent = np.array([total])  # the last win partial sums
+    checks = [N for N in _CHECKPOINTS if N < cap] + [cap]
+    # sums of w S_n and of w over the part of each window summed so far
+    wsum = [0.0] * len(checks)
+    wnorm = [0.0] * len(checks)
+    k = 0  # next checkpoint
+    est, err = None, math.inf
+    averaged = None
+    quiet = 0
     status = STATUS_NO_CONVERGENCE
     size = max(0, min(PSI1_CHUNK, cap - 1))
-    coef = np.empty(size)
-    kum = np.empty(size)
-    tmp = np.empty(size)
-    # slot 0 of each carries the running total (compensation) into the cumsum
-    terms = np.empty(size + 1)
-    sums = np.empty(size + 1)
-    errs = np.empty(size + 1)
+    buf = _Psi1Buffers(size)
+    starts = []
     while n < cap:
         L = min(size, cap - n)
-        ns = np.arange(n + 1, n + L + 1, dtype=float)
-        cs = np.add(ns, a, out=coef[:L])
-        cs -= 1.0
-        cs *= ns - 1.0
-        cs /= np.multiply(ns, ns, out=ns)
-        cs[0] *= c
-        np.cumprod(cs, out=cs)
-        fs = kum[:L]
-        _kummer_continue(fprev, f, n, g, z, fs)
-        t = np.multiply(cs, fs, out=terms[1:L + 1])
-        terms[0] = total
-        np.cumsum(terms[:L + 1], out=sums[:L + 1])
-        before, s = sums[:L], sums[1:L + 1]
-        # TwoSum: err = (before - (s - virt)) + (t - virt) with virt = s - before
-        virt = np.subtract(s, before, out=tmp[:L])
-        err = np.subtract(s, virt, out=errs[1:L + 1])
-        np.subtract(before, err, out=err)
-        err += np.subtract(t, virt, out=virt)
-        errs[0] = comp
-        cm = np.cumsum(errs[:L + 1], out=errs[:L + 1])[1:]
-        partial = s + cm
-        q = np.abs(t) < rel_tol * np.abs(partial)
+        starts.append(state)
+        ns, q, partial, after = _psi1_chunk(a, g, z, rel_tol, state, L, buf)
         e = L
+        quiet_stop = False
         if q.any():
             # run[i]: consecutive quiet terms ending at i, counting the run
-            # carried in from the previous chunk
-            idx = np.arange(L)
-            last_loud = np.maximum.accumulate(np.where(q, -1, idx))
-            run = np.where(last_loud < 0, idx + 1 + quiet, idx - last_loud)
+            # carried in from the previous chunk; positions i = ns - (n + 1)
+            last_loud = np.subtract(ns, n + 1, out=buf.tmp[:L])
+            last_loud[q] = -1.0
+            np.maximum.accumulate(last_loud, out=last_loud)
+            run = np.subtract(ns, last_loud, out=buf.wts[:L])
+            run -= n + 1
+            run[last_loud < 0.0] += quiet
             hit = np.flatnonzero(q & (run >= quiet_run))
             if hit.size:
                 e = int(hit[0]) + 1
-                status = STATUS_OK
+                quiet_stop = True
             quiet = int(run[e - 1])
         else:
             quiet = 0
-        total, comp, c = float(s[e - 1]), float(cm[e - 1]), float(cs[e - 1])
-        fprev, f = (float(fs[e - 2]) if e >= 2 else f), float(fs[e - 1])
-        recent = np.concatenate((recent, partial[:e]))[-win:]
-        n += e
-        if status == STATUS_OK:
+        for j in range(k, len(checks)):
+            if (checks[j] + 1) // 2 > n + e:
+                break  # later windows start later still
+            ws, wn = _window_sums(ns[:e], partial[:e], checks[j], buf)
+            wsum[j] += ws
+            wnorm[j] += wn
+        while k < len(checks) and checks[k] <= n + e:
+            prev, est = est, wsum[k] / wnorm[k]
+            if prev is not None:
+                err = abs(est - prev)
+            k += 1
+            if err <= _CHECK_TOL * max(1.0, abs(est)):
+                e = checks[k - 1] - n
+                averaged = est
+                break
+        state = after(e)
+        n = state[0]
+        if averaged is not None:
+            status = STATUS_OK
             break
-    return total + comp, float(recent.mean()), n, status
+        if quiet_stop:
+            status = STATUS_OK
+            if k == 0 or checks[k - 1] != n:
+                prev, est = est, _resum_window(a, g, z, n, starts, size, buf)
+                if prev is not None:
+                    err = abs(est - prev)
+            averaged = est
+            break
+    plain = state[1] + state[2]
+    if averaged is None:
+        averaged = plain if est is None else est
+    return plain, averaged, n, status, err
+
+
+def _resum_window(a, g, z, N, starts, size, buf):
+    """E(N) for a stop at N by summing the chunks over [N/2, N] again from
+    the last saved chunk-start state before the window."""
+    half = (N + 1) // 2
+    state = next((s for s in reversed(starts) if s[0] < half), starts[0])
+    wsum = wnorm = 0.0
+    while state[0] < N:
+        L = min(size, N - state[0])
+        ns, _, partial, after = _psi1_chunk(a, g, z, 0.0, state, L, buf)
+        ws, wn = _window_sums(ns, partial, N, buf)
+        wsum += ws
+        wnorm += wn
+        state = after(L)
+    return wsum / wnorm
 
 
 def s_spike_direct(w: complex, a: float, rel_tol: float, cap: int):

@@ -133,14 +133,17 @@ def psi1_series(params: OscillatorParams, x: float,
     """First-order wavefunction correction by direct summation.
 
     The coefficients decay like n^{alpha/2 - 2} while the Kummer factors
-    oscillate, so the raw partial sum rings at the 1e-5 level near the cap;
-    the returned value is instead the mean of the partial sums over the last
-    asymptotic oscillation period, which suppresses the ringing by two to
-    three orders of magnitude.  ``terms`` caps the number of series terms
-    and must be >= 1; a SlowConvergenceWarning is emitted when the cap is
-    reached before the plain stopping rule fires.  A ConvergenceError is
-    raised when the sum is not finite, which happens once sqrt(B) x^2 is
-    large enough for the Kummer recurrence to overflow.
+    oscillate like cos(2 sqrt(n sqrt(B) x^2)), so the raw partial sums ring
+    long after the terms are small.  The returned value is instead a smooth
+    (Hann^2 in sqrt(n)) windowed mean of the partial sums, evaluated at
+    fixed checkpoints of 8192, 16384, 32768 and 65536 terms and at the cap;
+    the sum stops once two consecutive means agree to 1e-9 max(1, |mean|)
+    (see :func:`spikedosc._kernels.psi1_sum`).  ``terms`` caps the number of
+    series terms and must be >= 1; a SlowConvergenceWarning giving the
+    terms used and the last checkpoint error estimate is emitted when the
+    cap is reached first.  A ConvergenceError is raised when the sum is not
+    finite, which happens once sqrt(B) x^2 is large enough for the Kummer
+    recurrence to overflow.
     """
     _check_psi1_domain(params, x, allow_unproven)
     if terms < 1:
@@ -148,17 +151,20 @@ def psi1_series(params: OscillatorParams, x: float,
     g = params.gamma
     a2 = 0.5 * params.alpha
     z = math.sqrt(params.B) * x * x
-    plain, averaged, used, status = _kernels.psi1_sum(
+    _, averaged, _, status, err = _kernels.psi1_sum(
         a2, g, z, 1e-12, 50, int(terms))
     if not math.isfinite(averaged):
         raise ConvergenceError(
             f"coefficient sum is not finite at x = {x} (sqrt(B) x^2 = {z:.6g}): "
             "the 1F1(-n, gamma, sqrt(B) x^2) recurrence left double range")
     if status != _kernels.STATUS_OK:
+        estimate = (f"error estimate {err:.2e} from the last two checkpoints"
+                    if math.isfinite(err) else
+                    "no error estimate below two checkpoints")
         warnings.warn(
-            f"coefficient sum hit the {terms}-term cap at x = {x} "
-            f"(terms decay like n^{a2 - 2.0:.3g}); returning the "
-            f"oscillation-averaged value (plain/averaged gap {abs(plain - averaged):.2e})",
+            f"coefficient sum hit the {terms}-term cap at x = {x} (terms decay "
+            f"like n^{a2 - 2.0:.3g}); returning the windowed mean of the "
+            f"partial sums, {estimate}",
             SlowConvergenceWarning, stacklevel=2)
     return psi1_prefactor(params) * _envelope(params, x) * averaged
 

@@ -130,19 +130,20 @@ class TestWavefun:
         assert code == 0
 
     def test_slow_convergence_warning_on_stderr(self, capsys):
-        # alpha = 2 makes the coefficients decay like 1/n, so the series hits
-        # its term cap at x = 1
+        # alpha = 2 makes the coefficients decay like 1/n, and at x = 0.25 the
+        # partial sums ring with period 4 pi in sqrt(n), too slowly for the
+        # windowed means to agree before the term cap
         code, out, err = run(capsys, "wavefun", "--A", "0", "--B", "1", "--alpha", "2",
-                             "--method", "series", "--x-start", "1", "--x-count", "1")
+                             "--method", "series", "--x-start", "0.25", "--x-count", "1")
         assert code == 0
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("spikedosc: warning: coefficient sum hit the "
-                                   "100000-term cap at x = 1.0")
+                                   "100000-term cap at x = 0.25")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SlowConvergenceWarning)
             samples = perturb.wavefun_samples(
-                OscillatorParams(A=0.0, B=1.0, alpha=2.0), [1.0], method="series")
+                OscillatorParams(A=0.0, B=1.0, alpha=2.0), [0.25], method="series")
         assert out == json.dumps(samples.to_dict(), indent=2) + "\n"
 
     def test_negative_count(self, capsys):

@@ -1,5 +1,5 @@
-"""Numpy kernels against the scalar loops they replace: the block-parallel
-psi1 series sum and the Kummer z-grid."""
+"""Numpy kernels against scalar loops that define them: the block-parallel
+psi1 series sum with its checkpointed windowed mean, and the Kummer z-grid."""
 
 import math
 
@@ -10,9 +10,10 @@ from spikedosc import _kernels
 
 
 def scalar_psi1_sum(a, g, z, rel_tol, quiet_run, cap):
-    """The one-term-at-a-time loop psi1_sum replaced, kept as its oracle:
-    upward Kummer recurrence, Neumaier-compensated partial sums, quiet-run
-    stop and a ring buffer of the last win partial sums."""
+    """The one-term-at-a-time loop, kept as psi1_sum's oracle: upward Kummer
+    recurrence, Neumaier-compensated partial sums, the quiet-run stop, and
+    the windowed mean of the stored partial sums at every checkpoint and at
+    a quiet stop."""
     fprev = 1.0
     f = 1.0 - z / g
     c = a
@@ -20,18 +21,21 @@ def scalar_psi1_sum(a, g, z, rel_tol, quiet_run, cap):
     comp = 0.0
     quiet = 0
     n = 1
-    if z > 0.0:
-        win = int(2.0 * math.pi * math.sqrt(cap / z)) + 1
-    else:
-        win = 1
-    if win > cap:
-        win = cap
-    if win < 1:
-        win = 1
-    ring = np.empty(win)
-    ring[0] = total + comp
-    count = 1
+    partials = [total + comp]  # partials[m - 1] = S_m
+    checks = [N for N in _kernels._CHECKPOINTS if N < cap] + [cap]
+    est, err = None, math.inf
     status = _kernels.STATUS_NO_CONVERGENCE
+
+    def window_mean(N):
+        s0 = math.sqrt(0.5 * N)
+        width = math.sqrt(N) - s0
+        num = den = 0.0
+        for m in range((N + 1) // 2, N + 1):
+            w = math.sin(math.pi * (math.sqrt(m) - s0) / width) ** 4 / math.sqrt(m)
+            num += w * partials[m - 1]
+            den += w
+        return num / den
+
     while n < cap:
         fnext = ((2.0 * n + g - z) * f - n * fprev) / (g + n)
         fprev = f
@@ -45,22 +49,22 @@ def scalar_psi1_sum(a, g, z, rel_tol, quiet_run, cap):
         else:
             comp += (t - sm) + total
         total = sm
-        ring[count % win] = total + comp
-        count += 1
+        partials.append(total + comp)
+        quiet_stop = False
         if abs(t) < rel_tol * abs(total + comp):
             quiet += 1
-            if quiet >= quiet_run:
-                status = _kernels.STATUS_OK
-                break
+            quiet_stop = quiet >= quiet_run
         else:
             quiet = 0
+        if n in checks or quiet_stop:
+            prev, est = est, window_mean(n)
+            if prev is not None:
+                err = abs(est - prev)
+            if quiet_stop or err <= 1e-9 * max(1.0, abs(est)):
+                status = _kernels.STATUS_OK
+                break
     plain = total + comp
-    navg = min(count, win)
-    avg = 0.0
-    for i in range(navg):
-        avg += ring[i]
-    avg /= navg
-    return plain, avg, n, status
+    return plain, plain if est is None else est, n, status, err
 
 
 def _draws(seed, count):
@@ -70,9 +74,11 @@ def _draws(seed, count):
 
 
 def _assert_same_sum(got, want):
-    assert got[2:] == want[2:]
+    assert got[2:4] == want[2:4]
     assert got[0] == pytest.approx(want[0], rel=1e-12)
     assert got[1] == pytest.approx(want[1], rel=1e-12)
+    assert got[4] == pytest.approx(want[4], rel=1e-12,
+                                   abs=1e-12 * max(1.0, abs(want[1])))
 
 
 CHUNK = _kernels.PSI1_CHUNK
@@ -98,7 +104,7 @@ class TestPsi1Sum:
     def test_compensated_sum_is_neumaier_term_for_term(self, monkeypatch):
         # with the 1F1 values of the scalar recurrence, the vectorised
         # compensated sum reproduces the Neumaier loop's plain sum bit for bit
-        def scalar_continue(fprev, f, n, g, z, out):
+        def scalar_continue(fprev, f, n, g, z, out, work):
             for i in range(out.shape[0]):
                 fprev, f = f, ((2.0 * n + g - z) * f - n * fprev) / (g + n)
                 out[i] = f
@@ -115,6 +121,20 @@ class TestPsi1Sum:
         for a, g, z in _draws(7, 4):
             _assert_same_sum(_kernels.psi1_sum(a, g, z, 1e-3, 0, 3000),
                              scalar_psi1_sum(a, g, z, 1e-3, 0, 3000))
+
+    @pytest.mark.parametrize("chunk", [3, 1000])
+    def test_checkpoint_inside_chunk(self, chunk, monkeypatch):
+        # neither chunk size divides the checkpoints, so every window starts
+        # and ends inside a chunk; the points stop at the second checkpoint,
+        # at the third, and at the cap without converging
+        points = ((0.975, 2.0, 4.0), (0.8, 2.0, 0.4), (0.975, 1.6, 0.1))
+        want = [_kernels.psi1_sum(a, g, z, 1e-12, 50, 40_000) for a, g, z in points]
+        assert [w[2:4] for w in want] == [(16384, _kernels.STATUS_OK),
+                                         (32768, _kernels.STATUS_OK),
+                                         (40_000, _kernels.STATUS_NO_CONVERGENCE)]
+        monkeypatch.setattr(_kernels, "PSI1_CHUNK", chunk)
+        for (a, g, z), w in zip(points, want):
+            _assert_same_sum(_kernels.psi1_sum(a, g, z, 1e-12, 50, 40_000), w)
 
 
 def _mp_plain_sum(mp, a, g, z, nterms):
@@ -138,8 +158,9 @@ class TestPsi1SumAccuracy:
     def test_single_point(self):
         mp = pytest.importorskip("mpmath")
         a, g, z, cap = 0.9, 2.3, 60.0, 20_000
-        exact = _mp_plain_sum(mp, a, g, z, cap)
-        err_new = abs(_kernels.psi1_sum(a, g, z, 1e-12, 50, cap)[0] - exact)
+        plain, _, used, _, _ = _kernels.psi1_sum(a, g, z, 1e-12, 50, cap)
+        exact = _mp_plain_sum(mp, a, g, z, used)
+        err_new = abs(plain - exact)
         err_old = abs(scalar_psi1_sum(a, g, z, 1e-12, 50, cap)[0] - exact)
         assert err_new <= 2.0 * err_old
 
@@ -152,8 +173,9 @@ class TestPsi1SumAccuracy:
         a, z, cap = 0.3, 150.0, 10_000
         err_new, err_old = [], []
         for g in (2.26, 2.28, 2.3, 2.32, 2.34):
-            exact = _mp_plain_sum(mp, a, g, z, cap)
-            err_new.append(abs(_kernels.psi1_sum(a, g, z, 1e-12, 50, cap)[0] - exact))
+            plain, _, used, _, _ = _kernels.psi1_sum(a, g, z, 1e-12, 50, cap)
+            exact = _mp_plain_sum(mp, a, g, z, used)
+            err_new.append(abs(plain - exact))
             err_old.append(abs(scalar_psi1_sum(a, g, z, 1e-12, 50, cap)[0] - exact))
         assert np.median(err_new) <= 2.0 * np.median(err_old)
 

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikedosc import _kernels, matel, perturb
 from spikedosc.basis import BasisState, OscillatorParams, energy_n, eval_psi
@@ -142,6 +144,46 @@ class TestPsi1Series:
             warnings.simplefilter("ignore")
             with pytest.raises(ConvergenceError, match=r"x = 40\.0 .*= 1600"):
                 perturb.psi1_series(p, 40.0)
+
+    def test_accuracy_grid(self):
+        # the windowed mean against the contour route (alpha < 2) and the
+        # closed form (alpha = 2), on the coefficient sum itself
+        worst = 0.0
+        for alpha in (1.0, 1.5, 1.95, 2.0):
+            for gamma in (1.5, 2.5, 4.0):
+                p = params_for_gamma(gamma, alpha=alpha)
+                for z in (0.05, 0.3, 1.0, 3.0, 9.0):
+                    x = math.sqrt(z)
+                    scale = perturb.psi1_prefactor(p) * perturb._envelope(p, x)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", SlowConvergenceWarning)
+                        got = perturb.psi1_series(p, x) / scale
+                    if alpha == 2.0:
+                        want = perturb.psi1_alpha2_closed(p, x) / scale
+                    else:
+                        want = perturb.coefficient_sum_contour(p, x)
+                    worst = max(worst, abs(got - want))
+        assert worst <= 1e-8
+
+    def test_cap_warning_gives_error_estimate(self):
+        p = OscillatorParams(A=0.0, B=1.0, alpha=2.0)
+        with pytest.warns(SlowConvergenceWarning,
+                          match=r"100000-term cap .* error estimate \d\.\d\de-\d\d "
+                                r"from the last two checkpoints"):
+            perturb.psi1_series(p, 0.25)
+        with pytest.warns(SlowConvergenceWarning, match="no error estimate"):
+            perturb.psi1_series(p, 1.0, terms=2000)
+
+
+@settings(max_examples=6, deadline=None)
+@given(gamma=st.floats(min_value=1.5, max_value=4.0),
+       alpha_frac=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
+       B=st.floats(min_value=0.25, max_value=4.0))
+def test_c1_is_ground_expectation(gamma, alpha_frac, B):
+    # first order is <0|x^-alpha|0>: the closed form against the factored table
+    p = params_for_gamma(gamma, B=B, alpha=alpha_frac * min(2.0 * gamma, gamma + 1.0))
+    assert perturb.energy_series(p).c1 == pytest.approx(
+        matel.matrix_element(p, 0, 0), rel=1e-13)
 
 
 class TestPsi1ClosedForm:

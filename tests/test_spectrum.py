@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikedosc import spectrum
-from spikedosc.basis import OscillatorParams, energy_n
+from spikedosc.basis import A_of_gamma, OscillatorParams, energy_n
 from spikedosc.errors import DomainError
 
 
@@ -99,3 +101,23 @@ class TestSweep:
         data = json.loads(r.to_json())
         assert data["N"] == 4 and len(data["eigenvalues"]) == 4
         assert data["params"]["lambda"] == 0.5
+
+
+@settings(max_examples=20, deadline=None)
+@given(gamma=st.floats(min_value=1.5, max_value=4.0),
+       alpha_frac=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
+       lam=st.floats(min_value=0.0, max_value=2.0),
+       ladder=st.lists(st.integers(min_value=1, max_value=48), min_size=2,
+                       max_size=5, unique=True).map(sorted))
+def test_ritz_values_interlace(gamma, alpha_frac, lam, ladder):
+    # Cauchy interlacing: each rung is an upper-left block of the next, so
+    # with k more rows nu_i <= mu_i <= nu_{i+k}
+    p = OscillatorParams(A=A_of_gamma(gamma), B=1.0,
+                         alpha=alpha_frac * min(2.0 * gamma, gamma + 1.0), lam=lam)
+    rungs = spectrum.variational_sweep(p, tuple(ladder))
+    for small, big in zip(rungs, rungs[1:]):
+        mu, nu = small.eigenvalues, big.eigenvalues
+        k = big.N - small.N
+        tol = 1e-12 * np.abs(nu).max()
+        assert np.all(nu[:small.N] <= mu + tol)
+        assert np.all(mu <= nu[k:] + tol)
