@@ -161,27 +161,33 @@ def pfq_unit_terms(uppers: np.ndarray, lowers: np.ndarray, s: float,
     return total + comp, nterms, terms[:nterms]
 
 
-PSI1_CHUNK = 8192  # terms per numpy pass of psi1_sum; bounds its memory
+PSI1_CHUNK = 8192  # most terms per numpy pass of psi1_sum; bounds its memory
 # Cost of one lockstep step over all blocks relative to one scalar stitch
 # step; the block length sqrt(L / _LOCKSTEP_COST) balances the two loops.
-_LOCKSTEP_COST = 20.0
-# Term counts at which psi1_sum evaluates its windowed mean (the cap is the
-# last one), and the agreement of two consecutive means that stops the sum.
-_CHECKPOINTS = (8192, 16384, 32768, 65536)
+_LOCKSTEP_COST = 10.0
+# psi1_sum evaluates its windowed mean at _FIRST_CHECK * 2^k terms below the
+# cap and at the cap, and stops once two consecutive means agree to _CHECK_TOL.
+_FIRST_CHECK = 2048
 _CHECK_TOL = 1e-9
+
+
+def _block_length(steps: int) -> int:
+    return max(1, int(math.sqrt(steps / _LOCKSTEP_COST)))
 
 
 def _kummer_work(size: int):
     """Block arrays for _kummer_continue runs of up to ``size`` steps.
 
-    The block length m is fixed by ``size``; a shorter run uses the first
-    columns, so a run cut short gives the same values as far as it goes.
+    A run of r steps takes blocks of m = _block_length(r) steps, so
+    r < _LOCKSTEP_COST (m + 1)^2 and it needs at most
+    _LOCKSTEP_COST (m + 3) + 1 blocks; a run uses the leading rows and
+    columns of each array.
     """
-    m = max(1, int(math.sqrt(size / _LOCKSTEP_COST)))
-    nb = max(1, -(-size // m))
-    return (m, np.arange(m, dtype=float)[:, None], m * np.arange(nb, dtype=float),
+    m = _block_length(size)
+    nb = int(_LOCKSTEP_COST * (m + 3)) + 1
+    return (np.arange(m, dtype=float)[:, None], np.arange(nb, dtype=float),
             np.empty((m, nb)), np.empty((m, nb)),
-            np.empty((m + 2, nb)), np.empty((m + 2, nb)), np.empty(nb))
+            np.empty((m + 2, 2, nb)), np.empty((2, nb)))
 
 
 def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
@@ -190,13 +196,13 @@ def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
     by the recurrence (g + k) f_{k+1} = (2k + g - z) f_k - k f_{k-1}.
 
     Steps with k < z + 2 lie in the non-oscillatory region and run one at a
-    time.  The rest is cut into blocks of m steps; the two fundamental
-    solutions of every block (initial pairs (1, 0) and (0, 1)) are advanced
-    in lockstep as arrays, a scalar pass over the blocks carries
-    (f_{k-1}, f_k) from block to block, and each block is then the
-    combination of its two solutions with its carried pair.  ``work`` holds
-    the block arrays, from :func:`_kummer_work` for at least ``out.size``
-    steps.
+    time.  The rest is cut into blocks of m steps, with m sized to their
+    number; the two fundamental solutions of every block (initial pairs
+    (1, 0) and (0, 1)) are advanced in lockstep as one array, a scalar pass
+    over the blocks carries (f_{k-1}, f_k) from block to block, and each
+    block is then the combination of its two solutions with its carried
+    pair.  ``work`` holds the block arrays, from :func:`_kummer_work` for at
+    least ``out.size`` steps.
     """
     count = out.shape[0]
     i = 0
@@ -208,58 +214,54 @@ def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
     rest = count - i
     if rest == 0:
         return
-    m, col, row, step, back, u, v, tmp = work
+    col, blocks, step, back, sol, tmp = work
+    m = _block_length(rest)
     nb = -(-rest // m)
-    step, back, u, v, tmp = step[:, :nb], back[:, :nb], u[:, :nb], v[:, :nb], tmp[:nb]
+    step, back, sol, tmp = step[:m, :nb], back[:m, :nb], sol[:m + 2, :, :nb], tmp[:, :nb]
     # k[j, b] = n + b m + j: step j of block b
-    k = np.add(col, row[:nb], out=back)
+    k = np.multiply(blocks[:nb], m, out=tmp[0])
+    k = np.add(col[:m], k, out=back)
     k += n
-    den = np.add(k, g, out=u[:m])  # u is free until the solutions start
+    den = np.add(k, g, out=sol[:m, 0])  # sol is free until the solutions start
     np.multiply(k, 2.0, out=step)
     step += g
     step -= z
     step /= den
     back /= den
-    # u[j + 2], v[j + 2]: value after step j of the solutions that start
-    # from (f_{k-1}, f_k) = (1, 0) and (0, 1)
-    u[0] = v[1] = 1.0
-    u[1] = v[0] = 0.0
+    # sol[j + 2, 0], sol[j + 2, 1]: value after step j of the solutions that
+    # start from (f_{k-1}, f_k) = (1, 0) and (0, 1)
+    sol[0, 0] = sol[1, 1] = 1.0
+    sol[0, 1] = sol[1, 0] = 0.0
     for j in range(m):
-        for sol in (u, v):
-            np.multiply(step[j], sol[j + 1], out=sol[j + 2])
-            np.multiply(back[j], sol[j], out=tmp)
-            np.subtract(sol[j + 2], tmp, out=sol[j + 2])
+        np.multiply(step[j], sol[j + 1], out=sol[j + 2])
+        np.multiply(back[j], sol[j], out=tmp)
+        np.subtract(sol[j + 2], tmp, out=sol[j + 2])
     starts_prev, starts = [], []
-    for u1, v1, u2, v2 in zip(u[m].tolist(), v[m].tolist(),
-                              u[m + 1].tolist(), v[m + 1].tolist()):
+    for u1, v1, u2, v2 in zip(*sol[m].tolist(), *sol[m + 1].tolist()):
         starts_prev.append(fprev)
         starts.append(f)
         fprev, f = fprev * u1 + f * v1, fprev * u2 + f * v2
-    vals = u[2:]
+    vals = sol[2:, 0]
     vals *= starts_prev
-    v[2:] *= starts
-    vals += v[2:]
+    sol[2:, 1] *= starts
+    vals += sol[2:, 1]
     full = rest // m
     out[i:i + full * m].reshape(full, m)[...] = vals[:, :full].T
     out[i + full * m:] = vals[:rest - full * m, nb - 1]
 
 
-def _psi1_chunk(a: float, g: float, z: float, rel_tol: float, state, L: int,
-                buf):
+def _psi1_chunk(a: float, g: float, z: float, state, L: int, buf):
     """Terms n + 1 .. n + L of the psi1 series from the state
     (n, total, comp, c, fprev, f) after n terms: total + comp is the
     compensated partial sum, c the n-th coefficient and fprev, f the
     1F1 values of orders n - 1 and n.
 
-    Returns (ns, quiet, partial, after): the term indices, whether each
-    term is below rel_tol times its partial sum, and the compensated
-    partial sums, as views into ``buf`` (a :class:`_Psi1Buffers`), and
-    after(e), the state after the first e of them.  Coefficients come from
-    the cumprod of their ratios, 1F1 values from _kummer_continue, and
-    partial sums from the cumsum plus the cumsum of the exact rounding
-    error of each addition (Knuth's TwoSum), which is Neumaier's
-    compensated sum term for term.  A run from the same state gives the
-    same values for any L, so a chunk can be summed again.
+    Returns (ns, partial, state): the term indices and the compensated
+    partial sums, as views into ``buf`` (a :class:`_Psi1Buffers`), and the
+    state after the last term.  Coefficients come from the cumprod of their
+    ratios, 1F1 values from _kummer_continue, and partial sums from the
+    cumsum plus the cumsum of the exact rounding error of each addition
+    (Knuth's TwoSum), which is Neumaier's compensated sum term for term.
     """
     n, total, comp, c, fprev, f = state
     ns = np.add(buf.ramp[:L], n, out=buf.idx[:L])
@@ -283,17 +285,9 @@ def _psi1_chunk(a: float, g: float, z: float, rel_tol: float, state, L: int,
     te += np.subtract(t, virt, out=virt)
     buf.errs[0] = comp
     cm = np.cumsum(buf.errs[:L + 1], out=buf.errs[:L + 1])[1:]
-    partial = np.add(s, cm, out=tmp)
-    lim = np.abs(partial, out=buf.wts[:L])
-    lim *= rel_tol
-    quiet = np.less(np.abs(t, out=t), lim, out=buf.quiet[:L])
-    np.copyto(t, partial)  # the terms' slots hold the partial sums from here
-
-    def after(e):
-        return (n + e, float(s[e - 1]), float(cm[e - 1]), float(cs[e - 1]),
-                float(fs[e - 2]) if e >= 2 else f, float(fs[e - 1]))
-
-    return ns, quiet, t, after
+    partial = np.add(s, cm, out=t)  # the terms' slots hold the partial sums
+    return ns, partial, (n + L, float(s[-1]), float(cm[-1]), float(cs[-1]),
+                         float(fs[-2]) if L >= 2 else f, float(fs[-1]))
 
 
 class _Psi1Buffers:
@@ -307,7 +301,6 @@ class _Psi1Buffers:
         self.kum = np.empty(size)
         self.tmp = np.empty(size)
         self.wts = np.empty(size)
-        self.quiet = np.empty(size, dtype=bool)
         # slot 0 of each carries the running total (compensation) into the cumsum
         self.terms = np.empty(size + 1)
         self.sums = np.empty(size + 1)
@@ -336,8 +329,7 @@ def _window_sums(ns: np.ndarray, partial: np.ndarray, N: int, buf):
     return float(np.dot(w, partial[lo:hi])), float(w.sum())
 
 
-def psi1_sum(a: float, g: float, z: float, rel_tol: float, quiet_run: int,
-             cap: int):
+def psi1_sum(a: float, g: float, z: float, cap: int):
     """Sum_{n>=1} (a)_n / (n n!) * 1F1(-n, g, z) for z >= 0, with the 1F1
     values generated by upward recurrence.
 
@@ -347,107 +339,56 @@ def psi1_sum(a: float, g: float, z: float, rel_tol: float, quiet_run: int,
     cos(2 sqrt(n z)), with the fixed period pi / sqrt(z) in s = sqrt(n).
     The windowed mean E(N) is the mean of S_n over n in [N/2, N] under the
     smooth window of :func:`_window_sums`, which suppresses that ringing
-    far below its amplitude.  E is evaluated at the checkpoints 8192,
-    16384, 32768 and 65536 below the cap and at the cap.  The error
+    far below its amplitude.  E is evaluated at the checkpoints 2048 2^k
+    below the cap (2048, 4096, 8192, ...) and at the cap.  The error
     estimate is |E(N_k) - E(N_{k-1})| at the last checkpoint reached (inf
     before the second), and the sum stops with STATUS_OK once it is at most
-    1e-9 max(1, |E|).  The sum also stops with STATUS_OK once quiet_run
-    consecutive terms are each below rel_tol times the running sum; the
-    stop then counts as a checkpoint.  The windowed mean returned is E at
-    the stop.  A sum that reaches the cap without passing either test
-    returns STATUS_NO_CONVERGENCE.
+    1e-9 max(1, |E|), at 4096 terms at the earliest.  The windowed mean
+    returned is E at the stop; a sum that reaches the cap without passing
+    the test returns STATUS_NO_CONVERGENCE.
 
-    Terms are summed PSI1_CHUNK at a time by :func:`_psi1_chunk`.  Each
-    chunk adds its share of the weighted sums of every window it overlaps,
-    so no partial sum outlives its chunk; the window of a quiet stop, which
-    is not known in advance, is summed again from the saved chunk-start
-    states.  The buffers are allocated once per call.
+    Terms are summed by :func:`_psi1_chunk` in chunks that end on the
+    checkpoints from the second on, and on every PSI1_CHUNK terms between
+    them, so a sum that stops at 4096 terms takes one pass.  Each chunk
+    adds its share of the weighted sums of every window it overlaps, so no
+    partial sum outlives its chunk.  The buffers are allocated once per
+    call.
     """
     f = 1.0 - z / g
     state = (1, a * f, 0.0, a, 1.0, f)  # (a)_1 / (1 * 1!) = a
     n = 1
-    checks = [N for N in _CHECKPOINTS if N < cap] + [cap]
+    checks = [_FIRST_CHECK]
+    while checks[-1] < cap:
+        checks.append(2 * checks[-1])
+    checks[-1] = cap
     # sums of w S_n and of w over the part of each window summed so far
     wsum = [0.0] * len(checks)
     wnorm = [0.0] * len(checks)
     k = 0  # next checkpoint
     est, err = None, math.inf
-    averaged = None
-    quiet = 0
     status = STATUS_NO_CONVERGENCE
     size = max(0, min(PSI1_CHUNK, cap - 1))
     buf = _Psi1Buffers(size)
-    starts = []
-    while n < cap:
-        L = min(size, cap - n)
-        starts.append(state)
-        ns, q, partial, after = _psi1_chunk(a, g, z, rel_tol, state, L, buf)
-        e = L
-        quiet_stop = False
-        if q.any():
-            # run[i]: consecutive quiet terms ending at i, counting the run
-            # carried in from the previous chunk; positions i = ns - (n + 1)
-            last_loud = np.subtract(ns, n + 1, out=buf.tmp[:L])
-            last_loud[q] = -1.0
-            np.maximum.accumulate(last_loud, out=last_loud)
-            run = np.subtract(ns, last_loud, out=buf.wts[:L])
-            run -= n + 1
-            run[last_loud < 0.0] += quiet
-            hit = np.flatnonzero(q & (run >= quiet_run))
-            if hit.size:
-                e = int(hit[0]) + 1
-                quiet_stop = True
-            quiet = int(run[e - 1])
-        else:
-            quiet = 0
+    while n < cap and status != STATUS_OK:
+        end = next((N for N in checks[1:] if N > n), cap)
+        ns, partial, state = _psi1_chunk(a, g, z, state, min(size, end - n), buf)
+        n = state[0]
         for j in range(k, len(checks)):
-            if (checks[j] + 1) // 2 > n + e:
+            if (checks[j] + 1) // 2 > n:
                 break  # later windows start later still
-            ws, wn = _window_sums(ns[:e], partial[:e], checks[j], buf)
+            ws, wn = _window_sums(ns, partial, checks[j], buf)
             wsum[j] += ws
             wnorm[j] += wn
-        while k < len(checks) and checks[k] <= n + e:
+        while k < len(checks) and checks[k] <= n:
             prev, est = est, wsum[k] / wnorm[k]
             if prev is not None:
                 err = abs(est - prev)
             k += 1
             if err <= _CHECK_TOL * max(1.0, abs(est)):
-                e = checks[k - 1] - n
-                averaged = est
+                status = STATUS_OK
                 break
-        state = after(e)
-        n = state[0]
-        if averaged is not None:
-            status = STATUS_OK
-            break
-        if quiet_stop:
-            status = STATUS_OK
-            if k == 0 or checks[k - 1] != n:
-                prev, est = est, _resum_window(a, g, z, n, starts, size, buf)
-                if prev is not None:
-                    err = abs(est - prev)
-            averaged = est
-            break
     plain = state[1] + state[2]
-    if averaged is None:
-        averaged = plain if est is None else est
-    return plain, averaged, n, status, err
-
-
-def _resum_window(a, g, z, N, starts, size, buf):
-    """E(N) for a stop at N by summing the chunks over [N/2, N] again from
-    the last saved chunk-start state before the window."""
-    half = (N + 1) // 2
-    state = next((s for s in reversed(starts) if s[0] < half), starts[0])
-    wsum = wnorm = 0.0
-    while state[0] < N:
-        L = min(size, N - state[0])
-        ns, _, partial, after = _psi1_chunk(a, g, z, 0.0, state, L, buf)
-        ws, wn = _window_sums(ns, partial, N, buf)
-        wsum += ws
-        wnorm += wn
-        state = after(L)
-    return wsum / wnorm
+    return plain, plain if est is None else est, n, status, err
 
 
 def s_spike_direct(w: complex, a: float, rel_tol: float, cap: int):

@@ -74,11 +74,17 @@ def energy_series(params: OscillatorParams) -> EnergySeries:
             "convergence margin")
     f = hyp_pfq_unit(PFqParams(upper=(1.0, 1.0, a2 + 1.0, a2 + 1.0),
                                lower=(g + 1.0, 2.0, 2.0)))
+    lg_num, lg_den = math.lgamma(g - a2), math.lgamma(g)
     scale = (params.B ** (0.5 * (params.alpha - 1.0))
              * params.alpha ** 2 / (16.0 * g)
-             * math.exp(2.0 * (math.lgamma(g - a2) - math.lgamma(g))))
-    return EnergySeries(E0=E0, c1=c1, c2=-scale * f.value,
-                        c2_error=scale * f.error_estimate)
+             * math.exp(2.0 * (lg_num - lg_den)))
+    c2 = -scale * f.value
+    # rounding of the scale: the lgamma values are off by about an ulp of
+    # their size, which the exponent doubles, and each product by an ulp
+    scale_ulps = 8.0 + 2.0 * (abs(lg_num) + abs(lg_den))
+    return EnergySeries(E0=E0, c1=c1, c2=c2,
+                        c2_error=float(scale * f.error_estimate
+                                       + scale_ulps * np.finfo(float).eps * abs(c2)))
 
 
 def energy_series_alpha2(params: OscillatorParams) -> EnergySeries:
@@ -135,10 +141,11 @@ def psi1_series(params: OscillatorParams, x: float,
     The coefficients decay like n^{alpha/2 - 2} while the Kummer factors
     oscillate like cos(2 sqrt(n sqrt(B) x^2)), so the raw partial sums ring
     long after the terms are small.  The returned value is instead a smooth
-    (Hann^2 in sqrt(n)) windowed mean of the partial sums, evaluated at
-    fixed checkpoints of 8192, 16384, 32768 and 65536 terms and at the cap;
-    the sum stops once two consecutive means agree to 1e-9 max(1, |mean|)
-    (see :func:`spikedosc._kernels.psi1_sum`).  ``terms`` caps the number of
+    (Hann^2 in sqrt(n)) windowed mean of the partial sums, evaluated at the
+    checkpoints 2048 2^k below the cap (2048, 4096, 8192, ... terms) and at
+    the cap; the sum stops once two consecutive means agree to
+    1e-9 max(1, |mean|), at 4096 terms at the earliest (see
+    :func:`spikedosc._kernels.psi1_sum`).  ``terms`` caps the number of
     series terms and must be >= 1; a SlowConvergenceWarning giving the
     terms used and the last checkpoint error estimate is emitted when the
     cap is reached first.  A ConvergenceError is raised when the sum is not
@@ -151,8 +158,7 @@ def psi1_series(params: OscillatorParams, x: float,
     g = params.gamma
     a2 = 0.5 * params.alpha
     z = math.sqrt(params.B) * x * x
-    _, averaged, _, status, err = _kernels.psi1_sum(
-        a2, g, z, 1e-12, 50, int(terms))
+    _, averaged, _, status, err = _kernels.psi1_sum(a2, g, z, int(terms))
     if not math.isfinite(averaged):
         raise ConvergenceError(
             f"coefficient sum is not finite at x = {x} (sqrt(B) x^2 = {z:.6g}): "

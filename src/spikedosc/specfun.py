@@ -139,7 +139,8 @@ def hyp_pfq_unit(params: PFqParams, cap: int = PFQ_UNIT_CAP) -> PFqUnitResult:
     Requires s = sum(lower) - sum(upper) > 0; raises DivergenceError
     otherwise.  Terms decay like k^{-1-s}, so after direct summation the
     algebraic tail is added by Hurwitz-zeta extrapolation, with a
-    conservative error estimate reported alongside the value.
+    conservative error estimate reported alongside the value: the
+    extrapolation's own estimate plus a floor for the rounding of the terms.
     """
     if params.argument != 1.0:
         raise DomainError("hyp_pfq_unit evaluates the series at z = 1 only")
@@ -163,4 +164,12 @@ def hyp_pfq_unit(params: PFqParams, cap: int = PFQ_UNIT_CAP) -> PFqUnitResult:
         np.asarray(upper, dtype=float), np.asarray(lower, dtype=float),
         float(s), 1e-14, int(cap))
     tail, err = _tail_extrapolation(np.asarray(terms), s)
-    return PFqUnitResult(value=total + tail, error_estimate=err, terms_used=nterms)
+    # rounding: the k-th term is a product of k rounded ratios, so it is off
+    # by a relative k eps or so, and the tail fitted to the last terms by
+    # nterms eps.  sum_k k |t_k| is the sum of the suffix sums of |t_k|,
+    # formed in place: the terms are not needed past the extrapolation.
+    suffix = np.abs(terms, out=terms)[::-1]
+    np.cumsum(suffix, out=suffix)
+    rounding = np.finfo(float).eps * (float(suffix[:-1].sum()) + nterms * abs(tail))
+    return PFqUnitResult(value=float(total + tail), error_estimate=float(err + rounding),
+                         terms_used=nterms)

@@ -9,20 +9,19 @@ import pytest
 from spikedosc import _kernels
 
 
-def scalar_psi1_sum(a, g, z, rel_tol, quiet_run, cap):
+def scalar_psi1_sum(a, g, z, cap):
     """The one-term-at-a-time loop, kept as psi1_sum's oracle: upward Kummer
-    recurrence, Neumaier-compensated partial sums, the quiet-run stop, and
-    the windowed mean of the stored partial sums at every checkpoint and at
-    a quiet stop."""
+    recurrence, Neumaier-compensated partial sums, and the windowed mean of
+    the stored partial sums at the checkpoints 2048 * 2^k below the cap and
+    at the cap, stopping once two consecutive means agree to 1e-9."""
     fprev = 1.0
     f = 1.0 - z / g
     c = a
     total = c * f
     comp = 0.0
-    quiet = 0
     n = 1
     partials = [total + comp]  # partials[m - 1] = S_m
-    checks = [N for N in _kernels._CHECKPOINTS if N < cap] + [cap]
+    checks = [2048 << k for k in range(40) if 2048 << k < cap] + [cap]
     est, err = None, math.inf
     status = _kernels.STATUS_NO_CONVERGENCE
 
@@ -50,17 +49,11 @@ def scalar_psi1_sum(a, g, z, rel_tol, quiet_run, cap):
             comp += (t - sm) + total
         total = sm
         partials.append(total + comp)
-        quiet_stop = False
-        if abs(t) < rel_tol * abs(total + comp):
-            quiet += 1
-            quiet_stop = quiet >= quiet_run
-        else:
-            quiet = 0
-        if n in checks or quiet_stop:
+        if n in checks:
             prev, est = est, window_mean(n)
             if prev is not None:
                 err = abs(est - prev)
-            if quiet_stop or err <= 1e-9 * max(1.0, abs(est)):
+            if err <= 1e-9 * max(1.0, abs(est)):
                 status = _kernels.STATUS_OK
                 break
     plain = total + comp
@@ -88,18 +81,8 @@ class TestPsi1Sum:
     @pytest.mark.parametrize("cap", [1, 2, 50, 51, CHUNK - 1, CHUNK, CHUNK + 1, 100_000])
     def test_matches_scalar_loop(self, cap):
         for a, g, z in _draws(20261018, 8):
-            _assert_same_sum(_kernels.psi1_sum(a, g, z, 1e-12, 50, cap),
-                             scalar_psi1_sum(a, g, z, 1e-12, 50, cap))
-
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 100])
-    def test_quiet_run_across_chunk_boundaries(self, chunk, monkeypatch):
-        # tiny chunks put a boundary inside every run of quiet terms, so the
-        # stop must come from the run carried over the boundaries
-        monkeypatch.setattr(_kernels, "PSI1_CHUNK", chunk)
-        for a, g, z in ((0.2, 3.5, 0.5), (0.1, 2.0, 3.0), (0.3, 4.0, 12.0)):
-            want = scalar_psi1_sum(a, g, z, 1e-9, 5, 5000)
-            assert want[3] == _kernels.STATUS_OK
-            _assert_same_sum(_kernels.psi1_sum(a, g, z, 1e-9, 5, 5000), want)
+            _assert_same_sum(_kernels.psi1_sum(a, g, z, cap),
+                             scalar_psi1_sum(a, g, z, cap))
 
     def test_compensated_sum_is_neumaier_term_for_term(self, monkeypatch):
         # with the 1F1 values of the scalar recurrence, the vectorised
@@ -112,29 +95,43 @@ class TestPsi1Sum:
 
         monkeypatch.setattr(_kernels, "_kummer_continue", scalar_continue)
         for a, g, z in [(0.9, 2.3, 60.0)] + _draws(11, 2):
-            got = _kernels.psi1_sum(a, g, z, 1e-12, 50, 100_000)
-            want = scalar_psi1_sum(a, g, z, 1e-12, 50, 100_000)
+            got = _kernels.psi1_sum(a, g, z, 100_000)
+            want = scalar_psi1_sum(a, g, z, 100_000)
             assert got[0] == want[0]
             _assert_same_sum(got, want)
 
-    def test_zero_quiet_run_stops_at_first_quiet_term(self):
-        for a, g, z in _draws(7, 4):
-            _assert_same_sum(_kernels.psi1_sum(a, g, z, 1e-3, 0, 3000),
-                             scalar_psi1_sum(a, g, z, 1e-3, 0, 3000))
+    def test_first_stop_takes_one_pass(self, monkeypatch):
+        # a point that settles by the second checkpoint is summed in one
+        # chunk of 4095 terms: a single run of the Kummer recurrence
+        runs = []
+        kummer_continue = _kernels._kummer_continue
+
+        def counted(fprev, f, n, g, z, out, work):
+            runs.append(out.shape[0])
+            kummer_continue(fprev, f, n, g, z, out, work)
+
+        monkeypatch.setattr(_kernels, "_kummer_continue", counted)
+        for a, g, z in ((0.5, 2.5, 1.0), (0.75, 2.5, 4.0), (0.95, 4.0, 16.0)):
+            runs.clear()
+            got = _kernels.psi1_sum(a, g, z, 100_000)
+            assert got[2:4] == (4096, _kernels.STATUS_OK)
+            assert runs == [4095]
 
     @pytest.mark.parametrize("chunk", [3, 1000])
     def test_checkpoint_inside_chunk(self, chunk, monkeypatch):
-        # neither chunk size divides the checkpoints, so every window starts
-        # and ends inside a chunk; the points stop at the second checkpoint,
-        # at the third, and at the cap without converging
-        points = ((0.975, 2.0, 4.0), (0.8, 2.0, 0.4), (0.975, 1.6, 0.1))
-        want = [_kernels.psi1_sum(a, g, z, 1e-12, 50, 40_000) for a, g, z in points]
-        assert [w[2:4] for w in want] == [(16384, _kernels.STATUS_OK),
+        # chunks end on the checkpoints from the second on and every
+        # ``chunk`` terms between them, so the first window (ending at 2048)
+        # ends inside a chunk and every window spans several chunks; the
+        # points stop at 4096 terms, at 32768, and at the cap without
+        # converging
+        points = ((0.75, 2.5, 4.0), (0.8, 2.0, 0.4), (0.975, 1.6, 0.1))
+        want = [_kernels.psi1_sum(a, g, z, 40_000) for a, g, z in points]
+        assert [w[2:4] for w in want] == [(4096, _kernels.STATUS_OK),
                                          (32768, _kernels.STATUS_OK),
                                          (40_000, _kernels.STATUS_NO_CONVERGENCE)]
         monkeypatch.setattr(_kernels, "PSI1_CHUNK", chunk)
         for (a, g, z), w in zip(points, want):
-            _assert_same_sum(_kernels.psi1_sum(a, g, z, 1e-12, 50, 40_000), w)
+            _assert_same_sum(_kernels.psi1_sum(a, g, z, 40_000), w)
 
 
 def _mp_plain_sum(mp, a, g, z, nterms):
@@ -158,10 +155,10 @@ class TestPsi1SumAccuracy:
     def test_single_point(self):
         mp = pytest.importorskip("mpmath")
         a, g, z, cap = 0.9, 2.3, 60.0, 20_000
-        plain, _, used, _, _ = _kernels.psi1_sum(a, g, z, 1e-12, 50, cap)
+        plain, _, used, _, _ = _kernels.psi1_sum(a, g, z, cap)
         exact = _mp_plain_sum(mp, a, g, z, used)
         err_new = abs(plain - exact)
-        err_old = abs(scalar_psi1_sum(a, g, z, 1e-12, 50, cap)[0] - exact)
+        err_old = abs(scalar_psi1_sum(a, g, z, cap)[0] - exact)
         assert err_new <= 2.0 * err_old
 
     def test_large_z_median_over_gamma(self):
@@ -173,10 +170,10 @@ class TestPsi1SumAccuracy:
         a, z, cap = 0.3, 150.0, 10_000
         err_new, err_old = [], []
         for g in (2.26, 2.28, 2.3, 2.32, 2.34):
-            plain, _, used, _, _ = _kernels.psi1_sum(a, g, z, 1e-12, 50, cap)
+            plain, _, used, _, _ = _kernels.psi1_sum(a, g, z, cap)
             exact = _mp_plain_sum(mp, a, g, z, used)
             err_new.append(abs(plain - exact))
-            err_old.append(abs(scalar_psi1_sum(a, g, z, 1e-12, 50, cap)[0] - exact))
+            err_old.append(abs(scalar_psi1_sum(a, g, z, cap)[0] - exact))
         assert np.median(err_new) <= 2.0 * np.median(err_old)
 
 

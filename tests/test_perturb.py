@@ -58,6 +58,24 @@ class TestEnergySeries:
             total += v * v / (energy_n(p, 0) - energy_n(p, n))
         assert es.c2 == pytest.approx(total, rel=1e-6)
 
+    def test_c2_error_bounds_actual_error(self):
+        # against c2 with a 20-digit 4F3(1) at the same double inputs: the
+        # claimed error covers the actual one, rounding included, and stays
+        # below 1e-12 relative
+        mp = pytest.importorskip("mpmath")
+        for alpha in (0.5, 1.0, 1.5, 1.9):
+            for gamma in (1.5, 2.5, 4.0):
+                p = params_for_gamma(gamma, B=1.3, alpha=alpha)
+                es = perturb.energy_series(p)
+                assert type(es.c2) is float and type(es.c2_error) is float
+                with mp.workdps(20):
+                    g, a2, B = mp.mpf(p.gamma), mp.mpf(p.alpha) / 2, mp.mpf(p.B)
+                    f = mp.hyper([1, 1, a2 + 1, a2 + 1], [2, 2, g + 1], 1)
+                    want = (-B ** (a2 - 0.5) * a2 ** 2 / (4 * g)
+                            * (mp.gamma(g - a2) / mp.gamma(g)) ** 2 * f)
+                    actual = float(abs(es.c2 - want))
+                assert actual <= es.c2_error <= 1e-12 * abs(es.c2), (alpha, gamma)
+
     def test_divergence_guard_boundary(self):
         for gamma in (1.5, 2.5):
             with pytest.raises(DivergenceError):
@@ -164,6 +182,18 @@ class TestPsi1Series:
                         want = perturb.coefficient_sum_contour(p, x)
                     worst = max(worst, abs(got - want))
         assert worst <= 1e-8
+
+    def test_slow_small_z_point_settles_at_the_cap(self):
+        # at sqrt(B) x^2 = 0.05 the partial sums ring up to the 100 000-term
+        # cap, where the last two windowed means agree and match the contour
+        # route; no earlier stop may cut the ringing short
+        p = params_for_gamma(2.5, alpha=1.5)
+        x = math.sqrt(0.05)
+        scale = perturb.psi1_prefactor(p) * perturb._envelope(p, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = perturb.psi1_series(p, x) / scale
+        assert abs(got - perturb.coefficient_sum_contour(p, x)) <= 1e-10
 
     def test_cap_warning_gives_error_estimate(self):
         p = OscillatorParams(A=0.0, B=1.0, alpha=2.0)
