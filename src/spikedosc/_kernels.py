@@ -9,8 +9,11 @@ fixed checkpoints, and ``contour_integrand`` evaluates every abscissa of the
 contour quadrature in one call, summing ``s_spike_near_unit`` over the whole
 array.
 
-Kernels report failure through status codes rather than exceptions; the
-public wrappers in :mod:`spikedosc.specfun` translate codes into exceptions.
+Kernels report failure through status codes rather than exceptions, and
+their callers translate the codes: :func:`spikedosc.specfun.hyp_1f1` that of
+``hyp1f1_series``, and :func:`spikedosc.perturb.psi1_series` that of
+``psi1_sum``.  ``contour_integrand`` drops the statuses of the ``s_spike_*``
+sums, because the contour abscissa keeps both sums far below their caps.
 """
 
 import math
@@ -175,25 +178,11 @@ def _block_length(steps: int) -> int:
     return max(1, int(math.sqrt(steps / _LOCKSTEP_COST)))
 
 
-def _kummer_work(size: int):
-    """Block arrays for _kummer_continue runs of up to ``size`` steps.
-
-    A run of r steps takes blocks of m = _block_length(r) steps, so
-    r < _LOCKSTEP_COST (m + 1)^2 and it needs at most
-    _LOCKSTEP_COST (m + 3) + 1 blocks; a run uses the leading rows and
-    columns of each array.
-    """
-    m = _block_length(size)
-    nb = int(_LOCKSTEP_COST * (m + 3)) + 1
-    return (np.arange(m, dtype=float)[:, None], np.arange(nb, dtype=float),
-            np.empty((m, nb)), np.empty((m, nb)),
-            np.empty((m + 2, 2, nb)), np.empty((2, nb)))
-
-
 def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
-                     out: np.ndarray, work) -> None:
-    """Fill out[i] = 1F1(-(n + 1 + i), g, z) from f_{n-1} = fprev, f_n = f
-    by the recurrence (g + k) f_{k+1} = (2k + g - z) f_k - k f_{k-1}.
+                     count: int) -> np.ndarray:
+    """The values 1F1(-(n + 1 + i), g, z), i < count, from
+    f_{n-1} = fprev, f_n = f by the recurrence
+    (g + k) f_{k+1} = (2k + g - z) f_k - k f_{k-1}.
 
     Steps with k < z + 2 lie in the non-oscillatory region and run one at a
     time.  The rest is cut into blocks of m steps, with m sized to their
@@ -201,131 +190,80 @@ def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
     (1, 0) and (0, 1)) are advanced in lockstep as one array, a scalar pass
     over the blocks carries (f_{k-1}, f_k) from block to block, and each
     block is then the combination of its two solutions with its carried
-    pair.  ``work`` holds the block arrays, from :func:`_kummer_work` for at
-    least ``out.size`` steps.
+    pair.
     """
-    count = out.shape[0]
-    i = 0
-    while i < count and n < z + 2.0:
+    head = []
+    while len(head) < count and n < z + 2.0:
         fprev, f = f, ((2.0 * n + g - z) * f - n * fprev) / (g + n)
-        out[i] = f
+        head.append(f)
         n += 1
-        i += 1
-    rest = count - i
+    rest = count - len(head)
     if rest == 0:
-        return
-    col, blocks, step, back, sol, tmp = work
+        return np.array(head)
     m = _block_length(rest)
     nb = -(-rest // m)
-    step, back, sol, tmp = step[:m, :nb], back[:m, :nb], sol[:m + 2, :, :nb], tmp[:, :nb]
     # k[j, b] = n + b m + j: step j of block b
-    k = np.multiply(blocks[:nb], m, out=tmp[0])
-    k = np.add(col[:m], k, out=back)
-    k += n
-    den = np.add(k, g, out=sol[:m, 0])  # sol is free until the solutions start
-    np.multiply(k, 2.0, out=step)
-    step += g
-    step -= z
-    step /= den
-    back /= den
-    # sol[j + 2, 0], sol[j + 2, 1]: value after step j of the solutions that
+    k = np.arange(m, dtype=float)[:, None] + np.arange(nb, dtype=float) * m + n
+    den = k + g
+    step = (2.0 * k + g - z) / den
+    back = k / den
+    # sol[j + 2][0], sol[j + 2][1]: value after step j of the solutions that
     # start from (f_{k-1}, f_k) = (1, 0) and (0, 1)
-    sol[0, 0] = sol[1, 1] = 1.0
-    sol[0, 1] = sol[1, 0] = 0.0
+    sol = [np.tile(e[:, None], nb) for e in np.eye(2)]
     for j in range(m):
-        np.multiply(step[j], sol[j + 1], out=sol[j + 2])
-        np.multiply(back[j], sol[j], out=tmp)
-        np.subtract(sol[j + 2], tmp, out=sol[j + 2])
+        sol.append(step[j] * sol[j + 1] - back[j] * sol[j])
     starts_prev, starts = [], []
     for u1, v1, u2, v2 in zip(*sol[m].tolist(), *sol[m + 1].tolist()):
         starts_prev.append(fprev)
         starts.append(f)
         fprev, f = fprev * u1 + f * v1, fprev * u2 + f * v2
-    vals = sol[2:, 0]
-    vals *= starts_prev
-    sol[2:, 1] *= starts
-    vals += sol[2:, 1]
-    full = rest // m
-    out[i:i + full * m].reshape(full, m)[...] = vals[:, :full].T
-    out[i + full * m:] = vals[:rest - full * m, nb - 1]
+    u, v = np.stack(sol[2:], axis=1)
+    vals = u * starts_prev + v * starts
+    return np.concatenate((head, vals.T.ravel()[:rest]))
 
 
-def _psi1_chunk(a: float, g: float, z: float, state, L: int, buf):
+def _psi1_chunk(a: float, g: float, z: float, state, L: int):
     """Terms n + 1 .. n + L of the psi1 series from the state
     (n, total, comp, c, fprev, f) after n terms: total + comp is the
     compensated partial sum, c the n-th coefficient and fprev, f the
     1F1 values of orders n - 1 and n.
 
-    Returns (ns, partial, state): the term indices and the compensated
-    partial sums, as views into ``buf`` (a :class:`_Psi1Buffers`), and the
-    state after the last term.  Coefficients come from the cumprod of their
-    ratios, 1F1 values from _kummer_continue, and partial sums from the
-    cumsum plus the cumsum of the exact rounding error of each addition
-    (Knuth's TwoSum), which is Neumaier's compensated sum term for term.
+    Returns (ns, partial, state): the term indices, the compensated partial
+    sums and the state after the last term.  Coefficients come from the
+    cumprod of their ratios, 1F1 values from _kummer_continue, and partial
+    sums from the cumsum plus the cumsum of the exact rounding error of each
+    addition (Knuth's TwoSum), which is Neumaier's compensated sum term for
+    term.
     """
     n, total, comp, c, fprev, f = state
-    ns = np.add(buf.ramp[:L], n, out=buf.idx[:L])
-    tmp = buf.tmp[:L]
-    cs = np.add(ns, a, out=buf.coef[:L])
-    cs -= 1.0
-    cs *= np.subtract(ns, 1.0, out=tmp)
-    cs /= np.multiply(ns, ns, out=tmp)
+    ns = np.arange(1.0, L + 1.0) + n
+    cs = (ns + a - 1.0) * (ns - 1.0) / (ns * ns)
     cs[0] *= c
-    np.cumprod(cs, out=cs)
-    fs = buf.kum[:L]
-    _kummer_continue(fprev, f, n, g, z, fs, buf.work)
-    t = np.multiply(cs, fs, out=buf.terms[1:L + 1])
-    buf.terms[0] = total
-    sums = np.cumsum(buf.terms[:L + 1], out=buf.sums[:L + 1])
-    before, s = sums[:L], sums[1:]
+    cs = np.cumprod(cs)
+    fs = _kummer_continue(fprev, f, n, g, z, L)
+    t = cs * fs
+    sums = np.cumsum(np.concatenate(([total], t)))
+    before, s = sums[:-1], sums[1:]
     # TwoSum: err = (before - (s - virt)) + (t - virt) with virt = s - before
-    virt = np.subtract(s, before, out=tmp)
-    te = np.subtract(s, virt, out=buf.errs[1:L + 1])
-    np.subtract(before, te, out=te)
-    te += np.subtract(t, virt, out=virt)
-    buf.errs[0] = comp
-    cm = np.cumsum(buf.errs[:L + 1], out=buf.errs[:L + 1])[1:]
-    partial = np.add(s, cm, out=t)  # the terms' slots hold the partial sums
-    return ns, partial, (n + L, float(s[-1]), float(cm[-1]), float(cs[-1]),
-                         float(fs[-2]) if L >= 2 else f, float(fs[-1]))
+    virt = s - before
+    errs = (before - (s - virt)) + (t - virt)
+    cm = np.cumsum(np.concatenate(([comp], errs)))[1:]
+    return ns, s + cm, (n + L, float(s[-1]), float(cm[-1]), float(cs[-1]),
+                        float(fs[-2]) if L >= 2 else f, float(fs[-1]))
 
 
-class _Psi1Buffers:
-    """The arrays psi1_sum works in, for chunks of up to ``size`` terms,
-    allocated once per call so that its chunks reuse the same pages."""
-
-    def __init__(self, size: int):
-        self.ramp = np.arange(1.0, size + 1.0)
-        self.idx = np.empty(size)
-        self.coef = np.empty(size)
-        self.kum = np.empty(size)
-        self.tmp = np.empty(size)
-        self.wts = np.empty(size)
-        # slot 0 of each carries the running total (compensation) into the cumsum
-        self.terms = np.empty(size + 1)
-        self.sums = np.empty(size + 1)
-        self.errs = np.empty(size + 1)
-        self.work = _kummer_work(size)
-
-
-def _window_sums(ns: np.ndarray, partial: np.ndarray, N: int, buf):
+def _window_sums(ns: np.ndarray, partial: np.ndarray, N: int):
     """Sums of w(n) S_n and of w(n) over the n of ``ns`` in [N/2, N], with
     w(n) = sin^4(pi (sqrt(n) - sqrt(N/2)) / (sqrt(N) - sqrt(N/2))) / sqrt(n):
-    a Hann^2 window in s = sqrt(n), with ds = dn / (2 sqrt(n)).  The
-    weights are formed in ``buf.tmp`` and ``buf.wts``."""
+    a Hann^2 window in s = sqrt(n), with ds = dn / (2 sqrt(n))."""
     first = int(ns[0])
     lo = max(0, (N + 1) // 2 - first)
     hi = min(ns.shape[0], N + 1 - first)
     if lo >= hi:
         return 0.0, 0.0
     s0 = math.sqrt(0.5 * N)
-    sq = np.sqrt(ns[lo:hi], out=buf.tmp[:hi - lo])
-    w = np.subtract(sq, s0, out=buf.wts[:hi - lo])
-    w *= math.pi / (math.sqrt(N) - s0)
-    np.sin(w, out=w)
-    np.square(w, out=w)
-    np.square(w, out=w)
-    w /= sq
+    sq = np.sqrt(ns[lo:hi])
+    w = np.square(np.square(np.sin((sq - s0) * (math.pi / (math.sqrt(N) - s0))))) / sq
     return float(np.dot(w, partial[lo:hi])), float(w.sum())
 
 
@@ -341,18 +279,18 @@ def psi1_sum(a: float, g: float, z: float, cap: int):
     smooth window of :func:`_window_sums`, which suppresses that ringing
     far below its amplitude.  E is evaluated at the checkpoints 2048 2^k
     below the cap (2048, 4096, 8192, ...) and at the cap.  The error
-    estimate is |E(N_k) - E(N_{k-1})| at the last checkpoint reached (inf
-    before the second), and the sum stops with STATUS_OK once it is at most
-    1e-9 max(1, |E|), at 4096 terms at the earliest.  The windowed mean
-    returned is E at the stop; a sum that reaches the cap without passing
-    the test returns STATUS_NO_CONVERGENCE.
+    estimate is the gap |E(N_k) - E(N_{k-1})| between the last two means
+    (inf before the second checkpoint), not a bound on the error of E: the
+    remaining error can be larger.  The sum stops with STATUS_OK once the
+    gap is at most 1e-9 max(1, |E|), at 4096 terms at the earliest.  The
+    windowed mean returned is E at the stop; a sum that reaches the cap
+    without passing the test returns STATUS_NO_CONVERGENCE.
 
     Terms are summed by :func:`_psi1_chunk` in chunks that end on the
     checkpoints from the second on, and on every PSI1_CHUNK terms between
     them, so a sum that stops at 4096 terms takes one pass.  Each chunk
     adds its share of the weighted sums of every window it overlaps, so no
-    partial sum outlives its chunk.  The buffers are allocated once per
-    call.
+    partial sum outlives its chunk.
     """
     f = 1.0 - z / g
     state = (1, a * f, 0.0, a, 1.0, f)  # (a)_1 / (1 * 1!) = a
@@ -367,16 +305,14 @@ def psi1_sum(a: float, g: float, z: float, cap: int):
     k = 0  # next checkpoint
     est, err = None, math.inf
     status = STATUS_NO_CONVERGENCE
-    size = max(0, min(PSI1_CHUNK, cap - 1))
-    buf = _Psi1Buffers(size)
     while n < cap and status != STATUS_OK:
         end = next((N for N in checks[1:] if N > n), cap)
-        ns, partial, state = _psi1_chunk(a, g, z, state, min(size, end - n), buf)
+        ns, partial, state = _psi1_chunk(a, g, z, state, min(PSI1_CHUNK, end - n))
         n = state[0]
         for j in range(k, len(checks)):
             if (checks[j] + 1) // 2 > n:
                 break  # later windows start later still
-            ws, wn = _window_sums(ns, partial, checks[j], buf)
+            ws, wn = _window_sums(ns, partial, checks[j])
             wsum[j] += ws
             wnorm[j] += wn
         while k < len(checks) and checks[k] <= n:

@@ -5,7 +5,9 @@ perturb (weak-coupling energy series), wavefun (first-order wavefunction
 correction on a grid), verify (self-check against the independent oracles).
 
 Exit codes: 0 success, 2 precondition or usage error (including a --N
-whose N x N arrays would not fit in physical memory), 3 documented series
+whose N x N arrays would not fit in physical memory, a non-finite wavefun
+grid end, and an --output path that cannot be written: one ``spikedosc:
+cannot write output: ...`` line on stderr), 3 documented series
 divergence, 4 numerical non-convergence, a non-finite result, or an
 allocation that failed (one ``spikedosc: out of memory: ...`` line on
 stderr).  JSON and CSV output never hold a NaN or infinity; the command
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -178,6 +181,9 @@ def _cmd_wavefun(args) -> int:
     params = _params(args)
     if args.x_count < 0:
         raise DomainError(f"--x-count must be >= 0, got {args.x_count}")
+    if not (math.isfinite(args.x_start) and math.isfinite(args.x_stop)):
+        raise DomainError(f"--x-start and --x-stop must be finite, got "
+                          f"{args.x_start} and {args.x_stop}")
     if args.x_count == 0:
         xs = np.empty(0)
     elif args.x_count == 1:
@@ -272,6 +278,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"spikedosc: precondition violated: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # only _emit does I/O
+        print(f"spikedosc: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivergenceError as exc:
         print(json.dumps({"divergent": True, "reason": str(exc)}, indent=2,

@@ -151,6 +151,19 @@ class TestWavefun:
                          "--alpha", "1", "--x-count", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("end", [("--x-stop", "inf"), ("--x-start", "nan"),
+                                     ("--x-stop=-inf",)])
+    def test_non_finite_grid_end_exit2(self, capsys, end):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "wavefun", "--A", "0", "--B", "1",
+                                 "--alpha", "1", *end)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("spikedosc: precondition violated: "
+                                   "--x-start and --x-stop must be finite")
+
     def test_non_finite_series_exit4(self, capsys):
         # 1F1(-n, gamma, 1600) overflows in the recurrence: refused, not NaN
         code, out, err = run(capsys, "wavefun", "--A", "0", "--B", "1", "--alpha", "1",
@@ -255,6 +268,15 @@ class TestVerifyAndUsage:
     def test_non_finite_parameter_exit2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "finite" in err
+
+    def test_unwritable_output_exit2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "perturb", "--A", "1", "--B", "1", "--alpha", "1",
+                             "--output", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("spikedosc: cannot write output: ")
 
     def test_missing_flag_exit2(self, capsys):
         code, _, _ = run(capsys, "matelem", "--A", "0", "--B", "1", "--alpha", "1")

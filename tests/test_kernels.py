@@ -87,11 +87,13 @@ class TestPsi1Sum:
     def test_compensated_sum_is_neumaier_term_for_term(self, monkeypatch):
         # with the 1F1 values of the scalar recurrence, the vectorised
         # compensated sum reproduces the Neumaier loop's plain sum bit for bit
-        def scalar_continue(fprev, f, n, g, z, out, work):
-            for i in range(out.shape[0]):
+        def scalar_continue(fprev, f, n, g, z, count):
+            out = np.empty(count)
+            for i in range(count):
                 fprev, f = f, ((2.0 * n + g - z) * f - n * fprev) / (g + n)
                 out[i] = f
                 n += 1
+            return out
 
         monkeypatch.setattr(_kernels, "_kummer_continue", scalar_continue)
         for a, g, z in [(0.9, 2.3, 60.0)] + _draws(11, 2):
@@ -106,9 +108,9 @@ class TestPsi1Sum:
         runs = []
         kummer_continue = _kernels._kummer_continue
 
-        def counted(fprev, f, n, g, z, out, work):
-            runs.append(out.shape[0])
-            kummer_continue(fprev, f, n, g, z, out, work)
+        def counted(fprev, f, n, g, z, count):
+            runs.append(count)
+            return kummer_continue(fprev, f, n, g, z, count)
 
         monkeypatch.setattr(_kernels, "_kummer_continue", counted)
         for a, g, z in ((0.5, 2.5, 1.0), (0.75, 2.5, 4.0), (0.95, 4.0, 16.0)):

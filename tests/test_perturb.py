@@ -195,6 +195,24 @@ class TestPsi1Series:
             got = perturb.psi1_series(p, x) / scale
         assert abs(got - perturb.coefficient_sum_contour(p, x)) <= 1e-10
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the error estimate is the gap between the last two "
+                              "windowed means, not a bound on the remaining error")
+    def test_error_estimate_bounds_actual_error(self):
+        # gamma = 2, sqrt(B) x^2 = 0.14507414021306486: the sum stops at 16 384
+        # terms without a warning, with an estimate of 9.06e-10 against an
+        # actual error of 4.52e-8 on the coefficient sum
+        p = OscillatorParams(A=0.75, B=1.0, alpha=2.0)
+        x = 0.3808859937213035
+        scale = perturb.psi1_prefactor(p) * perturb._envelope(p, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = perturb.psi1_series(p, x) / scale
+        want = perturb.psi1_alpha2_closed(p, x) / scale
+        err = _kernels.psi1_sum(0.5 * p.alpha, p.gamma, math.sqrt(p.B) * x * x,
+                                perturb.PSI1_SERIES_CAP)[4]
+        assert err >= abs(got - want)
+
     def test_cap_warning_gives_error_estimate(self):
         p = OscillatorParams(A=0.0, B=1.0, alpha=2.0)
         with pytest.warns(SlowConvergenceWarning,
@@ -203,6 +221,15 @@ class TestPsi1Series:
             perturb.psi1_series(p, 0.25)
         with pytest.warns(SlowConvergenceWarning, match="no error estimate"):
             perturb.psi1_series(p, 1.0, terms=2000)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route, alpha", [
+    (perturb.psi1_series, 1.0), (perturb.psi1_contour, 1.0),
+    (perturb.coefficient_sum_contour, 1.0), (perturb.psi1_alpha2_closed, 2.0)])
+def test_non_finite_x_refused(route, alpha, x):
+    with pytest.raises(DomainError, match="0 < x < inf"):
+        route(OscillatorParams(A=0.0, B=1.0, alpha=alpha), x)
 
 
 @settings(max_examples=6, deadline=None)
