@@ -46,14 +46,6 @@ EXIT_NO_CONVERGENCE = 4
 _NN_ARRAYS = 6
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits with 2 already;
-        # overridden to keep the code explicit and message on stderr
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _add_params(p: argparse.ArgumentParser, with_lam: bool = True) -> None:
     p.add_argument("--A", type=float, required=True, help="singular-core strength A >= 0")
     p.add_argument("--B", type=float, required=True, help="oscillator strength B > 0")
@@ -68,10 +60,11 @@ def _add_output(p: argparse.ArgumentParser, formats=("json", "csv")) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="spikedosc",
-                     description="Spiked harmonic oscillator: matrix elements, "
-                                 "variational spectra, and perturbation series.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(
+        prog="spikedosc",
+        description="Spiked harmonic oscillator: matrix elements, "
+                    "variational spectra, and perturbation series.")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("matelem", help="N x N table of <m|x^-alpha|n>")
     _add_params(p, with_lam=False)
@@ -268,10 +261,32 @@ _COMMANDS = {
 }
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Write ``--opt -value`` as ``--opt=-value`` where -value is a float
+    such as -inf or -1e-3, which argparse would read as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if (arg.startswith("-") and _is_float(arg) and out
+                and out[-1].startswith("--") and "=" not in out[-1]):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -39,72 +39,78 @@ _WGFULL[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
 class QuadratureSpec:
     """Tolerances and budget for the adaptive integrator.
 
-    ``split`` separates the singular-endpoint region (handled by a
-    regularizing power substitution) from the Gaussian tail; it defaults to
-    the classical turning point sqrt(2 gamma / sqrt(B)).
+    The estimate must fall to max(abs_tol, rel_tol |I|); ``max_subdivisions``
+    bounds the number of panel bisections, summed over all rounds.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    split: float | None = None
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    ys = f(mid + half * _NODES)
-    k15 = half * float(np.dot(_WK, ys))
-    g7 = half * float(np.dot(_WGFULL, ys))
+def _gk15(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and error estimates of the panels [lo, hi], from one
+    call of f on all 15 nodes of every panel."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    ys = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, 15)
+    k15 = half * (ys @ _WK)
+    diff = np.abs(k15 - half * (ys @ _WGFULL))
     # QUADPACK-style rescaled estimate: |K15 - G7| alone can be accidentally
     # tiny on unresolved oscillatory panels.
-    resasc = half * float(np.dot(_WK, np.abs(ys - k15 / (b - a))))
-    diff = abs(k15 - g7)
-    if resasc > 0.0:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    else:
-        err = diff
-    return k15, err
+    resasc = half * (np.abs(ys - (k15 / (hi - lo))[:, None]) @ _WK)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
+    return k15, np.where(resasc > 0.0, scaled, diff)
 
 
-def adaptive_quad(f, a: float, b: float, spec: QuadratureSpec,
-                  initial_panels: int = 16) -> tuple[float, float]:
-    """Adaptive bisection with vectorized 15-point Gauss-Kronrod panels.
+def adaptive_quad(f, a: float, b: float,
+                  spec: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
+    """Globally adaptive 15-point Gauss-Kronrod quadrature in rounds.
 
-    Returns (value, error estimate); raises ConvergenceError when the
-    subdivision budget is exhausted before the tolerance is met.
+    Starts from 16 equal panels.  Each round bisects every panel whose error
+    estimate exceeds its width's share of the tolerance, and evaluates all
+    nodes of the new panels in one call of the vectorized ``f``.  Returns
+    (value, error estimate); raises ConvergenceError when the bisection
+    budget would be exceeded, or when no panel can be bisected while the
+    estimate is still above the tolerance (a non-finite integrand).
     """
-    edges = np.linspace(a, b, initial_panels + 1)
-    panels = []
-    for pa, pb in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, pa, pb)
-        panels.append((err, pa, pb, val))
-    for _ in range(spec.max_subdivisions):
-        total = sum(p[3] for p in panels)
-        toterr = sum(p[0] for p in panels)
-        if toterr <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+    edges = np.linspace(a, b, 17)
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _gk15(f, lo, hi)
+    done = 0
+    while True:
+        total, toterr = float(np.sum(val)), float(np.sum(err))
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if toterr <= tol:
             return total, toterr
-        panels.sort(key=lambda p: p[0])
-        _, pa, pb, _ = panels.pop()
-        pm = 0.5 * (pa + pb)
-        v1, e1 = _panel(f, pa, pm)
-        v2, e2 = _panel(f, pm, pb)
-        panels.append((e1, pa, pm, v1))
-        panels.append((e2, pm, pb, v2))
-    total = sum(p[3] for p in panels)
-    toterr = sum(p[0] for p in panels)
-    raise ConvergenceError(
-        f"quadrature tolerance not met: estimate {toterr:.3e} after "
-        f"{spec.max_subdivisions} subdivisions (value {total:.17g})")
+        split = err > tol * (hi - lo) / (b - a)
+        count = int(np.count_nonzero(split))
+        if count == 0 or done + count > spec.max_subdivisions:
+            raise ConvergenceError(
+                f"quadrature tolerance not met: estimate {toterr:.3e} after "
+                f"{done} of {spec.max_subdivisions} subdivisions "
+                f"(value {total:.17g})")
+        done += count
+        keep = ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = _gk15(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
 
 
 def _weighted_product_integral(params: OscillatorParams, m: int, n: int,
-                               alpha: float, spec: QuadratureSpec) -> tuple[float, float]:
+                               alpha: float) -> tuple[float, float]:
     """integral_0^inf psi_m(x) psi_n(x) x^{-alpha} dx.
 
     The integrand behaves like x^{2 gamma - 1 - alpha} at the origin; the
     substitution x = t^p with p = 2/(2 gamma - alpha) maps it to O(t) there,
-    so plain adaptive panels converge quickly.  The tail is cut where
+    so plain adaptive panels converge quickly.  That region ends at the
+    classical turning point sqrt(2 gamma / sqrt(B)).  The tail is cut where
     e^{-sqrt(B) x^2} x^{2(m+n) + 2 gamma - 1 - alpha} drops below ~1e-20,
     which accounts for the polynomial growth of excited states.
     """
@@ -114,7 +120,7 @@ def _weighted_product_integral(params: OscillatorParams, m: int, n: int,
             f"integrand x^{{{2 * g - 1 - alpha}}} is non-integrable at 0 "
             f"(alpha = {alpha} >= 2*gamma = {2 * g})")
     sb = math.sqrt(params.B)
-    split = spec.split if spec.split is not None else math.sqrt(2.0 * g / sb)
+    split = math.sqrt(2.0 * g / sb)
     # solve e^{-u} u^{deg} = 1e-20 for u = sqrt(B) x^2 by fixed point
     deg = m + n + g - 0.5 * (1.0 + alpha)
     u = 60.0
@@ -133,27 +139,25 @@ def _weighted_product_integral(params: OscillatorParams, m: int, n: int,
         xs = ts ** p
         return p * ts ** (p - 1.0) * fx(xs)
 
-    v1, e1 = adaptive_quad(f_left, 0.0, split ** (1.0 / p), spec)
-    v2, e2 = adaptive_quad(fx, split, xmax, spec)
+    v1, e1 = adaptive_quad(f_left, 0.0, split ** (1.0 / p))
+    v2, e2 = adaptive_quad(fx, split, xmax)
     return v1 + v2, e1 + e2
 
 
-def overlap(params: OscillatorParams, m: int, n: int,
-            spec: QuadratureSpec = QuadratureSpec()) -> float:
+def overlap(params: OscillatorParams, m: int, n: int) -> float:
     """<m|n> by quadrature; equals delta_mn for a correct basis."""
     if m < 0 or n < 0:
         raise DomainError("overlap requires m, n >= 0")
-    value, _ = _weighted_product_integral(params, m, n, 0.0, spec)
+    value, _ = _weighted_product_integral(params, m, n, 0.0)
     return value
 
 
-def matel_quadrature(params: OscillatorParams, m: int, n: int,
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
+def matel_quadrature(params: OscillatorParams, m: int, n: int) -> float:
     """<m|x^{-alpha}|n> by quadrature (the independent oracle for the
     closed-form matrix elements)."""
     if m < 0 or n < 0:
         raise DomainError("matel_quadrature requires m, n >= 0")
-    value, _ = _weighted_product_integral(params, m, n, params.alpha, spec)
+    value, _ = _weighted_product_integral(params, m, n, params.alpha)
     return value
 
 

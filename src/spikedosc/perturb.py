@@ -28,6 +28,7 @@ from .basis import OscillatorParams, energy_n
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      SlowConvergenceWarning)
 from .specfun import PFqParams, hyp_pfq_unit
+from .spectrum import exact_ground_alpha2
 
 PSI1_SERIES_CAP = 100_000
 
@@ -103,8 +104,7 @@ def energy_exact_alpha2(params: OscillatorParams) -> float:
     the spike simply augments the singular-core strength."""
     if params.alpha != 2.0:
         raise DomainError(f"exact energy requires alpha = 2, got {params.alpha}")
-    return math.sqrt(params.B) * (
-        2.0 + math.sqrt(1.0 + 4.0 * (params.A + params.lam)))
+    return exact_ground_alpha2(params.B, params.A, params.lam)
 
 
 def psi1_prefactor(params: OscillatorParams) -> float:

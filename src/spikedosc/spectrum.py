@@ -77,10 +77,7 @@ def _residual_norm(H: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> float
 
 def solve(params: OscillatorParams, N: int) -> SpectrumResult:
     """Diagonalize the N x N projected Hamiltonian for the given parameters."""
-    table = build_hamiltonian(params, N)
-    evals, evecs = eigensolve_symmetric(table.values)
-    return SpectrumResult(params=params, N=N, eigenvalues=evals,
-                          residual_norm=_residual_norm(table.values, evals, evecs))
+    return variational_sweep(params, (N,))[0]
 
 
 def variational_sweep(params: OscillatorParams,

@@ -152,7 +152,7 @@ class TestWavefun:
         assert code == 2
 
     @pytest.mark.parametrize("end", [("--x-stop", "inf"), ("--x-start", "nan"),
-                                     ("--x-stop=-inf",)])
+                                     ("--x-stop=-inf",), ("--x-stop", "-inf")])
     def test_non_finite_grid_end_exit2(self, capsys, end):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -268,6 +268,18 @@ class TestVerifyAndUsage:
     def test_non_finite_parameter_exit2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("spectrum", "--A", "0", "--B", "1", "--alpha", "1", "--lam", "-1e-3"),
+         "lambda must be >= 0, got -0.001"),
+        (("matelem", "--A", "-1e-3", "--B", "1", "--alpha", "1", "--N", "3"),
+         "A must be >= 0, got -0.001"),
+    ])
+    def test_negative_float_value_exit2(self, capsys, argv, message):
+        # a value that looks like an option reaches the parameter check
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"spikedosc: precondition violated: {message}\n"
 
     def test_unwritable_output_exit2(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.json"

@@ -30,6 +30,28 @@ class TestAdaptiveQuad:
         want = 0.5 * math.exp(math.lgamma(15.5))
         assert abs(val - want) <= max(err, 1e-12 * want)
 
+    def test_one_call_per_round(self):
+        # every panel of a round is evaluated in one call of f: 16 panels of
+        # 15 nodes, then only the panels that were bisected
+        lengths = []
+
+        def f(x):
+            lengths.append(len(x))
+            return x ** 30 * np.exp(-x * x)
+
+        oracle.adaptive_quad(f, 0.0, 12.0, oracle.QuadratureSpec())
+        assert lengths[0] == 16 * 15
+        assert 1 <= len(lengths) <= 4
+        assert all(k % 15 == 0 for k in lengths)
+
+    @pytest.mark.parametrize("nan_from", [-1.0, 0.5])
+    def test_non_finite_integrand_refused(self, nan_from):
+        # NaN errors exceed no panel's share of the tolerance, so a round
+        # with nothing to bisect must raise instead of looping
+        f = lambda x: np.where(x > nan_from, np.nan, x)
+        with pytest.raises(ConvergenceError):
+            oracle.adaptive_quad(f, 0.0, 1.0, oracle.QuadratureSpec())
+
     def test_budget_exhaustion(self):
         spec = oracle.QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300,
                                      max_subdivisions=3)
@@ -62,6 +84,25 @@ class TestMatelQuadrature:
         p = OscillatorParams(A=0.0, B=1.0, alpha=1.0)
         assert oracle.matel_quadrature(p, 0, 0) == pytest.approx(
             2.0 / math.sqrt(math.pi), rel=1e-10)
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.5])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_integrand_calls_per_element(self, monkeypatch, gamma, alpha):
+        # the integrand evaluates psi_m and psi_n once each per round
+        lengths = []
+        eval_psi_grid = oracle.eval_psi_grid
+
+        def counted(params, n, xs):
+            lengths.append(len(xs))
+            return eval_psi_grid(params, n, xs)
+
+        monkeypatch.setattr(oracle, "eval_psi_grid", counted)
+        p = OscillatorParams(A=(gamma - 1.0) ** 2 - 0.25, B=1.3, alpha=alpha)
+        for (m, n) in [(0, 0), (3, 7)]:
+            lengths.clear()
+            oracle.matel_quadrature(p, m, n)
+            assert 4 <= len(lengths) <= 20
+            assert all(k % 15 == 0 for k in lengths)
 
     def test_divergence_near_boundary(self):
         # integrand x^{2 gamma - 1 - alpha} ceases to be integrable at

@@ -95,6 +95,17 @@ class TestSweep:
         results = spectrum.variational_sweep(p, (4, 8))
         assert spectrum.ground_state_converged(results)  # diagonal: exact at any N
 
+    def test_solve_is_sweep_rung(self):
+        # each rung of a sweep is an upper-left block of one table, and
+        # solve at that N gives the same bits
+        for (A, B, alpha, lam) in [(0.0, 1.0, 1.0, 0.5), (2.0, 1.7, 1.5, 1.2),
+                                   (6.0, 3.0, 0.4, 2.0)]:
+            p = OscillatorParams(A=A, B=B, alpha=alpha, lam=lam)
+            for r in spectrum.variational_sweep(p, (4, 8, 16, 32)):
+                s = spectrum.solve(p, r.N)
+                np.testing.assert_array_equal(s.eigenvalues, r.eigenvalues)
+                assert s.residual_norm == r.residual_norm
+
     def test_json_payload(self):
         p = OscillatorParams(A=0.0, B=1.0, alpha=2.0, lam=0.5)
         r = spectrum.solve(p, 4)
