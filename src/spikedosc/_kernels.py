@@ -172,6 +172,8 @@ _LOCKSTEP_COST = 10.0
 # cap and at the cap, and stops once two consecutive means agree to _CHECK_TOL.
 _FIRST_CHECK = 2048
 _CHECK_TOL = 1e-9
+# terms per piece of the near-unit polynomial in s_spike_near_unit
+_BABY_STEPS = 8
 
 
 def _block_length(steps: int) -> int:
@@ -207,18 +209,20 @@ def _kummer_continue(fprev: float, f: float, n: int, g: float, z: float,
     den = k + g
     step = (2.0 * k + g - z) / den
     back = k / den
-    # sol[j + 2][0], sol[j + 2][1]: value after step j of the solutions that
+    # sol[j + 2, 0], sol[j + 2, 1]: value after step j of the solutions that
     # start from (f_{k-1}, f_k) = (1, 0) and (0, 1)
-    sol = [np.tile(e[:, None], nb) for e in np.eye(2)]
+    sol = np.empty((m + 2, 2, nb))
+    sol[0] = [[1.0], [0.0]]
+    sol[1] = [[0.0], [1.0]]
     for j in range(m):
-        sol.append(step[j] * sol[j + 1] - back[j] * sol[j])
+        np.multiply(step[j], sol[j + 1], out=sol[j + 2])
+        sol[j + 2] -= back[j] * sol[j]
     starts_prev, starts = [], []
     for u1, v1, u2, v2 in zip(*sol[m].tolist(), *sol[m + 1].tolist()):
         starts_prev.append(fprev)
         starts.append(f)
         fprev, f = fprev * u1 + f * v1, fprev * u2 + f * v2
-    u, v = np.stack(sol[2:], axis=1)
-    vals = u * starts_prev + v * starts
+    vals = sol[2:, 0] * starts_prev + sol[2:, 1] * starts
     return np.concatenate((head, vals.T.ravel()[:rest]))
 
 
@@ -347,37 +351,48 @@ def s_spike_near_unit(q, a: float, psi_one_minus_a: float,
 
     S = psi(1) - psi(1-a) - log(1-q) - q^{1-a} * sum_{k>=0} q^k / (k+1-a),
     geometrically convergent in |q| < 1 (requires a not a positive integer,
-    which holds for a = alpha/2 < 1 on the contour).  The sum grows by one
-    term per step at every point until every point's last term is below
-    rel_tol of its partial sum; past ``cap`` terms the status is
-    STATUS_NO_CONVERGENCE.
+    which holds for a = alpha/2 < 1 on the contour).  The sum, of order one,
+    is cut at one degree K for the whole array, fixed before any array work:
+    the least K for which the tail bound r^{K+1} / ((K+2-a)(1-r)),
+    r = max|q|, is below rel_tol.  When K would exceed ``cap`` (or r >= 1)
+    the sum stops at degree ``cap`` and the status is STATUS_NO_CONVERGENCE.
+
+    The polynomial is evaluated in baby steps and giant steps (Paterson &
+    Stockmeyer, SIAM J. Comput. 2 (1973) 60): the powers q^0 .. q^7, one
+    matrix product for its pieces of eight terms, and Horner's rule in q^8
+    over the pieces: about 9 + K/4 array operations instead of Horner's 2K.
     """
     q = np.asarray(q, dtype=complex)
-    phi = np.full(q.shape, 1.0 / (1.0 - a), dtype=complex)
-    t = np.ones(q.shape, dtype=complex)
-    # |q|^k / (k+1-a) bounds every point's k-th term, so one scalar against
-    # the smallest |phi| decides for the whole array; that minimum is taken
-    # again only when the bound falls below the last one taken
     r = float(np.abs(q).max(initial=0.0))
-    rk = 1.0
-    phi_min = math.inf
-    k = 0
+    K = 0
     status = STATUS_OK
-    while True:
-        k += 1
-        t *= q
-        phi += t * (1.0 / (k + 1.0 - a))
-        rk *= r
-        if rk < rel_tol * (k + 1.0 - a) * phi_min:
-            phi_min = float(np.abs(phi).min(initial=math.inf))
-            if rk < rel_tol * (k + 1.0 - a) * phi_min:
+    if r >= 1.0:
+        K, status = cap, STATUS_NO_CONVERGENCE
+    elif r > 0.0:
+        tail = r / ((2.0 - a) * (1.0 - r))
+        while tail >= rel_tol:
+            if K == cap:
+                status = STATUS_NO_CONVERGENCE
                 break
-        if k >= cap:
-            status = STATUS_NO_CONVERGENCE
-            break
+            K += 1
+            tail *= r * (K + 1.0 - a) / (K + 2.0 - a)
+    pieces = K // _BABY_STEPS + 1
+    coef = np.zeros(pieces * _BABY_STEPS)
+    coef[:K + 1] = 1.0 / (np.arange(K + 1.0) + 1.0 - a)
+    flat = q.ravel()
+    powers = np.empty((_BABY_STEPS, flat.size), dtype=complex)
+    powers[0] = 1.0
+    for i in range(1, _BABY_STEPS):
+        np.multiply(powers[i - 1], flat, out=powers[i])
+    giant = powers[-1] * flat
+    piece = coef.reshape(pieces, _BABY_STEPS) @ powers
+    phi = piece[-1]
+    for j in range(pieces - 2, -1, -1):
+        phi *= giant
+        phi += piece[j]
     val = (-EULER_GAMMA - psi_one_minus_a
-           - np.log(1.0 - q)
-           - np.exp((1.0 - a) * np.log(q)) * phi)
+           - np.log1p(-q)
+           - np.exp((1.0 - a) * np.log(q)) * phi.reshape(q.shape))
     return val, status
 
 

@@ -262,17 +262,20 @@ class TestPsi1ClosedForm:
 
 
 def near_unit_loop(q, a, psi_one_minus_a):
-    """S(1 - q) by the continuation about w = 1, one term at a time."""
-    phi = 1.0 / (1.0 - a) + 0.0j
+    """S(1 - q) by the continuation about w = 1, one term at a time, the
+    terms summed exactly rounded (math.fsum on each part): near a = 1 the
+    leading term 1/(1 - a) dwarfs the rest, and a plain running sum would
+    round each later term against it."""
+    terms = [1.0 / (1.0 - a) + 0.0j]
     t = 1.0 + 0.0j
     k = 0
     while True:
         k += 1
         t *= q
-        term = t / (k + 1.0 - a)
-        phi += term
-        if abs(term) < 1e-16 * abs(phi):
+        terms.append(t / (k + 1.0 - a))
+        if abs(terms[-1]) < 1e-16 * abs(terms[0]):
             break
+    phi = complex(math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms))
     return (-_kernels.EULER_GAMMA - psi_one_minus_a - cmath.log(1.0 - q)
             - cmath.exp((1.0 - a) * cmath.log(q)) * phi)
 
@@ -433,6 +436,46 @@ class TestPsi1Contour:
                         params_for_gamma(gamma, B=B, alpha=alpha), x)
                     worst = max(worst, abs(got - want) / abs(want))
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("A, B, alpha, x, want", [
+        (0.75, 1.0, 1.5, 2.0, 0.0904773863200393),
+        (0.0, 1.0, 1.0, 1.0, -0.0198528987143157),
+        # the series stops at its cap here, 3.6e-7 off
+        (0.0, 1e-6, 1.0, 1.0, -0.100245871336945),
+    ])
+    def test_matches_30_digit_reference(self, A, B, alpha, x, want):
+        """psi1 against 30-digit values of the same Bromwich integral, made
+        with mpmath at mp.dps = 30: with a = alpha/2, q = x^2/t and
+        t = c + iy on the line c = 1.5 x^2 + 1/sqrt(B),
+        S(1 - q) = -euler - digamma(1 - a) - log(1 - q)
+                   - q^{1-a} hyp2f1(1, 1 - a, 2 - a, q)/(1 - a);
+        Re[e^{sqrt(B) t} t^{-gamma} S(1 - q)] is integrated by mp.quad over
+        each of 60 half-periods pi/sqrt(B) of y >= 0, the partial sums are
+        extrapolated by mp.shanks, and the limit times
+        B^{(1-gamma)/2} Gamma(gamma)/pi is the coefficient sum; psi1 is that
+        times psi1_prefactor and x^{gamma-1/2} e^{-sqrt(B) x^2/2}."""
+        got = perturb.psi1_contour(OscillatorParams(A=A, B=B, alpha=alpha), x)
+        assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("gamma, x, want", [
+        (10.0, 0.5, -2.56036160252281e-7),
+        (12.0, 0.5, -5.66070975138217e-9),
+        (18.0, 0.5, -2.49656575491164e-14),
+        (21.0, 1.0, -3.02140932196513e-11),
+    ])
+    def test_large_gamma_right_or_refused(self, gamma, x, want):
+        """At large gamma the Bromwich kernel's integral cancels from values
+        up to 1e11 times larger, and the rules near its branch point lose
+        accuracy: psi1 is right to 1e-9 or ConvergenceError is raised, never
+        a wrong value.  References (B = 1, alpha = 1) as in
+        test_matches_30_digit_reference; psi1_series agrees with each to 14
+        digits."""
+        p = params_for_gamma(gamma, B=1.0, alpha=1.0)
+        try:
+            got = perturb.psi1_contour(p, x)
+        except ConvergenceError:
+            return
+        assert abs(got - want) <= 1e-9 * abs(want)
 
 
 class TestWavefunSamples:
