@@ -5,9 +5,10 @@ Every kernel is plain Python or numpy.  ``psi1_sum``, ``kummer_grid`` and
 whole z-grid per recurrence step, ``psi1_sum`` splits the Kummer recurrence
 into blocks advanced in lockstep (Kogge & Stone, IEEE Trans. Comput. C-22
 (1973) 786) and averages its ringing partial sums under a smooth window at
-fixed checkpoints, and ``contour_integrand`` evaluates every abscissa of the
-contour quadrature in one call, summing ``s_spike_near_unit`` over the whole
-array.
+fixed checkpoints, and ``contour_integrand`` evaluates S(1 - x^2/t) at every
+node of the contour quadrature in one call, summing ``s_spike_near_unit``
+over the whole array; the quadrature in :mod:`spikedosc.perturb` forms the
+kernel e^{sqrt(B) t} t^{-gamma} itself.
 
 Kernels report failure through status codes rather than exceptions, and
 their callers translate the codes: :func:`spikedosc.specfun.hyp_1f1` that of
@@ -349,13 +350,22 @@ def s_spike_near_unit(q, a: float, psi_one_minus_a: float,
                       rel_tol: float, cap: int):
     """S(w) for w = 1 - q via the continuation around w = 1, for an array of q.
 
-    S = psi(1) - psi(1-a) - log(1-q) - q^{1-a} * sum_{k>=0} q^k / (k+1-a),
-    geometrically convergent in |q| < 1 (requires a not a positive integer,
-    which holds for a = alpha/2 < 1 on the contour).  The sum, of order one,
-    is cut at one degree K for the whole array, fixed before any array work:
-    the least K for which the tail bound r^{K+1} / ((K+2-a)(1-r)),
-    r = max|q|, is below rel_tol.  When K would exceed ``cap`` (or r >= 1)
-    the sum stops at degree ``cap`` and the status is STATUS_NO_CONVERGENCE.
+    The continuation S = psi(1) - psi(1-a) - log(1-q)
+    - q^{1-a} sum_{k>=0} q^k / (k+1-a), geometrically convergent in |q| < 1
+    (requires a not a positive integer, which holds for a = alpha/2 < 1 on
+    the contour), is summed with its k = 0 term and, by
+    1/(k+1-a) = 1/k - (1-a)/(k (k+1-a)), the logarithm in the rest taken
+    out exactly: with u = (1-a) log q,
+
+        S = psi(1) - psi(1-a) - 1/(1-a) - expm1(u)/(1-a)
+            + log(1-q) expm1(u) + e^u sum_{k>=1} (1-a) q^k / (k (k+1-a)).
+
+    Near w = 0 the first form cancels terms up to 1/(1-a) down to S; this
+    one keeps its q-dependent pieces of the order of S.  The sum is cut at
+    one degree K for the whole array, fixed before any array work: the
+    least K for which the tail bound (1-a) r^{K+1} / (1-r), r = max|q|, is
+    below rel_tol.  When K would exceed ``cap`` (or r >= 1) the sum stops
+    at degree ``cap`` and the status is STATUS_NO_CONVERGENCE.
 
     The polynomial is evaluated in baby steps and giant steps (Paterson &
     Stockmeyer, SIAM J. Comput. 2 (1973) 60): the powers q^0 .. q^7, one
@@ -364,21 +374,15 @@ def s_spike_near_unit(q, a: float, psi_one_minus_a: float,
     """
     q = np.asarray(q, dtype=complex)
     r = float(np.abs(q).max(initial=0.0))
-    K = 0
-    status = STATUS_OK
-    if r >= 1.0:
-        K, status = cap, STATUS_NO_CONVERGENCE
-    elif r > 0.0:
-        tail = r / ((2.0 - a) * (1.0 - r))
-        while tail >= rel_tol:
-            if K == cap:
-                status = STATUS_NO_CONVERGENCE
-                break
-            K += 1
-            tail *= r * (K + 1.0 - a) / (K + 2.0 - a)
+    K, status = cap, STATUS_NO_CONVERGENCE
+    if r < 1.0:
+        need = 0.0 if r == 0.0 else math.log(rel_tol * (1.0 - r) / (1.0 - a)) / math.log(r)
+        if need <= cap + 1:
+            K, status = max(0, math.ceil(need) - 1), STATUS_OK
     pieces = K // _BABY_STEPS + 1
     coef = np.zeros(pieces * _BABY_STEPS)
-    coef[:K + 1] = 1.0 / (np.arange(K + 1.0) + 1.0 - a)
+    k = np.arange(1.0, K + 1.0)
+    coef[1:K + 1] = (1.0 - a) / (k * (k + 1.0 - a))
     flat = q.ravel()
     powers = np.empty((_BABY_STEPS, flat.size), dtype=complex)
     powers[0] = 1.0
@@ -390,28 +394,27 @@ def s_spike_near_unit(q, a: float, psi_one_minus_a: float,
     for j in range(pieces - 2, -1, -1):
         phi *= giant
         phi += piece[j]
-    val = (-EULER_GAMMA - psi_one_minus_a
-           - np.log1p(-q)
-           - np.exp((1.0 - a) * np.log(q)) * phi.reshape(q.shape))
+    u = (1.0 - a) * np.log(q)
+    em1 = np.expm1(u)
+    val = (-EULER_GAMMA - psi_one_minus_a - 1.0 / (1.0 - a) - em1 / (1.0 - a)
+           + np.log1p(-q) * em1 + np.exp(u) * phi.reshape(q.shape))
     return val, status
 
 
-def contour_integrand(y, c: float, x2: float, sqrt_b: float,
-                      g: float, a: float, psi_one_minus_a: float):
-    """Smooth (non-oscillatory) part of the inverse-Laplace integrand.
+def contour_integrand(t, x2: float, a: float, psi_one_minus_a: float):
+    """The factor S(1 - x^2/t) of the inverse-Laplace integrand
+    e^{sqrt(B) t} t^{-gamma} S(1 - x^2/t), at an array of complex abscissae
+    t (or a scalar), same shape; the caller forms the kernel
+    e^{sqrt(B) t} t^{-gamma}.
 
-    Returns G(y) = e^{sqrt(B) c} (c+iy)^{-gamma} S(1 - x^2/(c+iy)) for an
-    array of y (or a scalar); the full integrand is Re[e^{i sqrt(B) y} G(y)],
-    whose oscillation the caller's quadrature handles.  With q = x^2/(c+iy),
-    points with |q| <= 0.7 take the continuation about w = 1 as one array;
-    the rest take the direct sum one point at a time.  The default abscissa
-    c = 1.5 x^2 + 1/sqrt(B) of :func:`spikedosc.perturb.coefficient_sum_contour`
-    keeps |q| < 2/3, so only a caller-chosen c < x^2/0.7 reaches the direct
-    sum.
+    With q = x^2/t, points with |q| <= 0.7 take the continuation about
+    w = 1 as one array; the rest take the direct sum one point at a time.
+    The default vertex c = max(1.5 x^2 + 1/sqrt(B), gamma/sqrt(B)) of
+    :func:`spikedosc.perturb.coefficient_sum_contour` keeps |q| <= 2/3, so
+    only a caller-chosen c < x^2/0.7 reaches the direct sum.
     """
-    y = np.asarray(y, dtype=float)
-    t = c + 1j * y.ravel()
-    q = x2 / t
+    t = np.asarray(t, dtype=complex)
+    q = x2 / t.ravel()
     s = np.empty_like(q)
     near = np.abs(q) <= 0.7
     # module-global lookups, so a tracer that rebinds these names sees each call
@@ -419,4 +422,4 @@ def contour_integrand(y, c: float, x2: float, sqrt_b: float,
         s[near], _ = s_spike_near_unit(q[near], a, psi_one_minus_a, 1e-16, 10000)
     for i in np.flatnonzero(~near):
         s[i], _ = s_spike_direct(1.0 - complex(q[i]), a, 1e-16, 200000)
-    return (np.exp(sqrt_b * c - g * np.log(t)) * s).reshape(y.shape)
+    return s.reshape(t.shape)

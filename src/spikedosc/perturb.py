@@ -9,15 +9,12 @@ the first-order correction
 
 evaluated three ways: direct summation, the alpha = 2 logarithmic closed
 form, and (for alpha < 2) an inverse-Laplace contour integral that converts
-the slowly converging sum into a rapidly convergent Fourier-type integral,
-evaluated in numpy by Gauss-Legendre sums over half-periods extrapolated
-with Wynn's epsilon algorithm.
+the slowly converging sum into a rapidly convergent one, evaluated in numpy
+by one trapezoid sum on a parabola that wraps the branch cut.
 """
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import json
 import math
 import warnings
@@ -202,143 +199,55 @@ def psi1_alpha2_closed(params: OscillatorParams, x: float) -> float:
     return coeff * _envelope(params, x) * (math.log(z) - _kernels.digamma_kernel(g))
 
 
-# Gauss-Legendre rules on [-1, 1]: the positive nodes and their weights,
-# correctly rounded from 50-digit values.
-_GL20_HALF = (
-    (0.07652652113349734, 0.15275338713072584),
-    (0.22778585114164507, 0.14917298647260374),
-    (0.37370608871541955, 0.14209610931838204),
-    (0.5108670019508271, 0.13168863844917664),
-    (0.636053680726515, 0.11819453196151841),
-    (0.7463319064601508, 0.10193011981724044),
-    (0.8391169718222188, 0.08327674157670475),
-    (0.912234428251326, 0.06267204833410907),
-    (0.9639719272779138, 0.04060142980038694),
-    (0.9931285991850949, 0.017614007139152118),
-)
-_GL10_HALF = (
-    (0.14887433898163122, 0.29552422471475287),
-    (0.4333953941292472, 0.26926671930999635),
-    (0.6794095682990244, 0.21908636251598204),
-    (0.8650633666889845, 0.1494513491505806),
-    (0.9739065285171717, 0.06667134430868814),
-)
-
-
-def _unit_rule(half_rule):
-    """A symmetric rule on [-1, 1] mapped to [0, 1]: nodes, and weights summing to 1."""
-    u = ([0.5 - 0.5 * x for x, _ in reversed(half_rule)]
-         + [0.5 + 0.5 * x for x, _ in half_rule])
-    w = [0.5 * v for _, v in reversed(half_rule)] + [0.5 * v for _, v in half_rule]
-    return np.array(u), np.array(w)
-
-
-_GL20_U, _GL20_W = _unit_rule(_GL20_HALF)
-_GL10_U, _GL10_W = _unit_rule(_GL10_HALF)
-# e^{i pi u} at the 10-point nodes: on the k-th half-period, sqrt(B) y = pi (k + u)
-# and e^{i sqrt(B) y} = (-1)^k e^{i pi u}
-_GL10_PHASE = np.exp(1j * math.pi * _GL10_U)
-_HALF_PERIODS = 30
-# the epsilon table takes the last _EPSILON_SUMS partial sums, as QUADPACK's
-# QELG keeps only its latest entries
-_EPSILON_SUMS = 20
-_PANEL_REACH = 1.0
-
-
-def _wynn_epsilon(partial: list[float]) -> tuple[float, float]:
-    """Limit of a sequence of partial sums by Wynn's epsilon algorithm
-    (MTAC 10 (1956) 91), with an error estimate.
-
-    Each even column of the epsilon table is a sequence of extrapolations;
-    its last entry uses every partial sum.  The entry returned is the one
-    whose distance to the entry above it in its column plus the distance to
-    the previous even column's last entry is least, as in QUADPACK's QELG,
-    and that sum is the error estimate.  The table is built in Python
-    floats; a zero difference gives a signed infinity and the NaNs that
-    follow from it never win the comparison.
-    """
-    best, err = partial[-1], abs(partial[-1] - partial[-2])
-    older, old = [0.0] * len(partial), partial
-    prev = old  # the last even column
-    for k in range(1, len(partial)):
-        new = []
-        a = old[0]
-        for o, b in zip(older[1:], old[1:]):
-            d = b - a
-            new.append(o + (1.0 / d if d else math.copysign(math.inf, d)))
-            a = b
-        older, old = old, new
-        if k % 2 == 0:
-            if len(old) < 2:
-                break
-            e = abs(old[-1] - old[-2]) + abs(old[-1] - prev[-1])
-            if e < err:  # False for a NaN
-                best, err = old[-1], e
-            prev = old
-    return best, err
-
-
-def _half_period_sums(near, width, far, half):
-    """Integrals over the half-periods, along the last axis, from values at
-    the abscissae: the 20-point panels of the first two half-periods (all
-    but the last panel lie in the first), then one 10-point panel for each
-    later one."""
-    panels = width * (near @ _GL20_W)
-    return np.concatenate((panels[..., :-1].sum(axis=-1, keepdims=True),
-                           panels[..., -1:], half * (far @ _GL10_W)), axis=-1)
-
-
-def _kernel_tail(c: float, sb: float, g: float, Y: float) -> float:
-    """Int_Y^inf Re[e^{sqrt(B) t} t^{-gamma}] dy along t = c + iy, for
-    sqrt(B) Y a multiple of 2 pi: with T = c + iY, so that
-    e^{sqrt(B) T} = e^{sqrt(B) c}, integration by parts gives the asymptotic
-    series (i/sqrt(B)) e^{sqrt(B) c} T^{-gamma} sum_k (gamma)_k (sqrt(B) T)^{-k},
-    summed until its terms fall below 1e-17 of the sum (at most 40 terms)."""
-    T = complex(c, Y)
-    term = 1j / sb * cmath.exp(sb * c - g * cmath.log(T))
-    total = term
-    for k in range(40):
-        term *= (g + k) / (sb * T)
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total.real
+# The trapezoid rule on the parabola runs to where |e^{sqrt(B) t}| has fallen
+# by e^{-_PARABOLA_DECAY} below its value at the vertex, in steps no longer
+# than _MAX_STEP.
+_PARABOLA_DECAY = 41.5
+_MAX_STEP = 3.0 / 32.0
 
 
 def coefficient_sum_contour(params: OscillatorParams, x: float,
                             c: float | None = None) -> float:
-    """sum_{n>=1} (alpha/2)_n / (n n!) 1F1(-n, gamma, sqrt(B) x^2) via the
-    inverse-Laplace contour Re t = c.
+    """sum_{n>=1} (alpha/2)_n / (n n!) 1F1(-n, gamma, sqrt(B) x^2) via an
+    inverse-Laplace contour that crosses the real axis at t = c.
 
-    The sum equals K/2 Int_{-inf}^{inf} e^{sqrt(B)(c+iy)} (c+iy)^{-gamma}
-    S(1 - x^2/(c+iy)) dy, K = B^{(1-gamma)/2} Gamma(gamma)/pi, with
-    S(w) = (alpha/2) w 3F2(1,1,1+alpha/2; 2,2; w): the average of S under the
-    Bromwich kernel e^{sqrt(B) t} t^{-gamma}, whose own integral is 2/K.  The
-    requirement c > x^2 keeps |1 - x^2/(c+iy)| < 1; the default
-    c = 1.5 x^2 + 1/sqrt(B) keeps sqrt(B) c, and with it the cancellation in
-    the integral, small.  Conjugate symmetry folds the line to y >= 0, where
-    the integrand is Re[e^{i sqrt(B) y} G(y)] with G from
-    :func:`_kernels.contour_integrand`.
+    The sum equals K/(2 pi i) Int e^{sqrt(B) t} t^{-gamma} S(1 - x^2/t) dt
+    along the Bromwich line Re t = c, K = B^{(1-gamma)/2} Gamma(gamma), with
+    S(w) = (alpha/2) w 3F2(1,1,1+alpha/2; 2,2; w): the average of S under
+    the kernel e^{sqrt(B) t} t^{-gamma}, whose own integral is 2 pi i/K.
+    The integrand is analytic off t in (-inf, 0]: the cut of S at
+    q = x^2/t in (-inf, 0] lies there too.  So the line deforms to the
+    parabola t(theta) = c (1 + i theta)^2 of Weideman & Trefethen (Math.
+    Comp. 76 (2007) 1341), which has its vertex at c and wraps the cut, and
+    along which the integrand decays like e^{-sqrt(B) c theta^2}.  In theta
+    both t^{-gamma} and S are analytic in the strip |Im theta| < 1, so the
+    trapezoid rule converges geometrically: with conjugate symmetry,
 
-    As in QUADPACK's QAWF (Piessens et al., QUADPACK, Springer 1983), the
-    integral is summed over 30 consecutive half-periods pi/sqrt(B) and the
-    last 20 partial sums are extrapolated by Wynn's epsilon algorithm: the
-    |c+iy|^{-gamma} majorant alone decays too slowly near gamma = 3/2 for
-    plain truncation, but the half-period sums alternate in sign.  G is
-    analytic in |Im y| < c, and the rules lose accuracy near its branch point
-    y = ic, the faster the larger gamma.  So the first half-period is cut into
-    panels no wider than their distance |c + i y0| from it, and these panels
-    and the second half-period take a 20-point Gauss-Legendre rule; each of
-    the other 28, at least twice its width from the branch point, takes a
-    10-point rule.  Every abscissa goes to one integrand call.
+        sum = K (2 c h/pi) Re sum_k' e^{sqrt(B) t_k} t_k^{-gamma}
+              S(1 - x^2/t_k) (1 + i theta_k),   theta_k = k h,
 
-    The error estimate, in units of the returned sum, adds three terms: the
-    epsilon table's; rounding, 50 ulps of the integral of |integrand|, from
-    which the alternating panels cancel down to the value; and the rule
-    error, taken as the deviation of the same quadrature of the kernel alone
-    from its exact value, times max(1, |sum|).  The last two grow with gamma
-    as the kernel's integral cancels more.  A ConvergenceError is raised
-    when the estimate exceeds 1e-6 max(1, |sum|).
+    half weight at k = 0, up to theta = sqrt(1 + 41.5/(sqrt(B) c)), where
+    |e^{sqrt(B) t}| has fallen by e^{-41.5} below its value at the vertex.
+    The step is h = pi/(4 N sqrt(B) c) with the least integer N that makes
+    h <= 3/32 (N = 1 from sqrt(B) c = 8 pi/3 on).  Then the phase
+    2 sqrt(B) c theta_k of e^{sqrt(B) t_k} is k pi/(2N), reduced exactly,
+    and the kernel is summed over its vertex value e^{sqrt(B) c} c^{-gamma},
+    whose rounding is thus common to all nodes.  The default c takes 28-66
+    nodes on the perturb-scan and cli-cold draws of perfbench, all in one
+    call of :func:`_kernels.contour_integrand`.
+
+    c must exceed x^2, which keeps |q| <= x^2/c < 1 on the contour.  The
+    default c = max(1.5 x^2 + 1/sqrt(B), gamma/sqrt(B)) keeps |q| <= 2/3
+    and sqrt(B) c, and with it the cancellation in the sum, small; its
+    second term puts the vertex at the saddle point of the kernel, so the
+    kernel does not cancel at large gamma.
+
+    The error estimate, in units of the returned sum, adds rounding, 50 ulps
+    of the same sum of |Re integrand|, from which the terms cancel down to
+    the value; and the rule error, taken as the deviation of the same sum of
+    the kernel alone from its exact value 1, times max(1, |sum|).  A
+    ConvergenceError is raised when the estimate exceeds 1e-6 max(1, |sum|)
+    or is not a number, and when the vertex value leaves double range.
     """
     _check_x(x, "contour evaluation")
     x2 = x * x
@@ -346,42 +255,33 @@ def coefficient_sum_contour(params: OscillatorParams, x: float,
     a2 = 0.5 * params.alpha
     sb = math.sqrt(params.B)
     if c is None:
-        c = 1.5 * x2 + 1.0 / sb
+        c = max(1.5 * x2 + 1.0 / sb, g / sb)
     if c <= x2:
         raise DomainError(f"contour abscissa must satisfy c > x^2 ({c} <= {x2})")
-    half = math.pi / sb
-    edges = [0.0]
-    while (end := edges[-1] + _PANEL_REACH * math.hypot(c, edges[-1])) < half:
-        edges.append(end)
-    edges += [half, 2.0 * half]
-    width = np.diff(edges)
-    y_near = np.array(edges[:-1])[:, None] + width[:, None] * _GL20_U
-    y_far = half * (np.arange(2.0, _HALF_PERIODS)[:, None] + _GL10_U)
-    y = np.concatenate((y_near.ravel(), y_far.ravel()))
-    n_near = y_near.size
-
-    def split(v):
-        return v[:n_near].reshape(y_near.shape), v[n_near:].reshape(y_far.shape)
-
-    G_near, G_far = split(_kernels.contour_integrand(
-        y, c, x2, sb, g, a2, _kernels.digamma_kernel(1.0 - a2)))
-    f_near = (np.exp(1j * sb * y_near) * G_near).real
-    f_far = (_GL10_PHASE * G_far).real
-    f_far[1::2] *= -1.0  # (-1)^k on the k-th half-period, k = 2, 3, ...
-    # the kernel Re[e^{sqrt(B) t} t^{-gamma}] at the same abscissae: its
-    # integral over y >= 0 is 1/scale, so its quadrature shows the rule error
-    k_near, k_far = split(np.exp(sb * c - 0.5 * g * np.log(c * c + y * y))
-                          * np.cos(sb * y - g * np.arctan(y / c)))
-    f_sums, abs_sums, k_sums = _half_period_sums(
-        np.stack((f_near, np.abs(f_near), k_near)), width,
-        np.stack((f_far, np.abs(f_far), k_far)), half)
-    value, err = _wynn_epsilon(
-        list(itertools.accumulate(f_sums.tolist()))[-_EPSILON_SUMS:])
-    scale = params.B ** (0.5 * (1.0 - g)) * math.gamma(g) / math.pi
-    total = scale * value
-    err = scale * (err + 50.0 * np.finfo(float).eps * math.fsum(abs_sums))
-    kernel_sum = math.fsum(k_sums) + _kernel_tail(c, sb, g, _HALF_PERIODS * half)
-    err += abs(scale * kernel_sum - 1.0) * max(1.0, abs(total))
+    sbc = sb * c
+    N = math.ceil(math.pi / (4.0 * _MAX_STEP * sbc))
+    h = math.pi / (4.0 * N * sbc)
+    k = np.arange(math.ceil(math.sqrt(1.0 + _PARABOLA_DECAY / sbc) / h) + 1.0)
+    theta = h * k
+    z = 1.0 + 1j * theta
+    # e^{sqrt(B) t} t^{-gamma} (1 + i theta) over e^{sqrt(B) c} c^{-gamma}
+    kern = (np.exp(-sbc * theta * theta - (2.0 * g - 1.0) * np.log(z))
+            * np.exp(1j * math.pi / (2 * N) * (k % (4 * N))))
+    f = (kern * _kernels.contour_integrand(
+        c * z * z, x2, a2, _kernels.digamma_kernel(1.0 - a2))).real
+    kern = kern.real
+    f[0] *= 0.5
+    kern[0] *= 0.5
+    log_scale = (sbc - g * math.log(c) + 0.5 * (1.0 - g) * math.log(params.B)
+                 + math.lgamma(g))
+    if log_scale > 700.0:
+        raise ConvergenceError(
+            f"contour quadrature at x = {x} cancels from e^{log_scale:.4g}, "
+            "beyond double range")
+    scale = math.exp(log_scale) * 2.0 * c * h / math.pi
+    total = scale * math.fsum(f.tolist())
+    err = scale * 50.0 * np.finfo(float).eps * float(np.abs(f).sum())
+    err += abs(scale * math.fsum(kern.tolist()) - 1.0) * max(1.0, abs(total))
     if not err <= 1e-6 * max(1.0, abs(total)):
         raise ConvergenceError(
             f"contour quadrature error estimate {err:.3e} exceeds 1e-6 of "
@@ -395,7 +295,9 @@ def psi1_contour(params: OscillatorParams, x: float,
 
     Valid for alpha < 2, where the fractional power in S(w) is genuinely
     branch-cut-free on the contour (alpha = 2 is served exactly by
-    psi1_alpha2_closed instead).
+    psi1_alpha2_closed instead).  ``c``, which must exceed x^2, is where the
+    contour crosses the real axis, the vertex of the parabola of
+    :func:`coefficient_sum_contour`; the default is chosen there.
     """
     if params.alpha >= 2.0:
         raise DomainError(

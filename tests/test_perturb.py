@@ -280,15 +280,19 @@ def near_unit_loop(q, a, psi_one_minus_a):
             - cmath.exp((1.0 - a) * cmath.log(q)) * phi)
 
 
-def contour_g_point(y, c, x2, sqrt_b, g, a, psi_one_minus_a):
-    """G(y) of the contour integrand at one point, without numpy."""
-    t = complex(c, y)
-    q = x2 / t
+def s_point(q, a, psi_one_minus_a):
+    """S(1 - q) at one point, without numpy, on contour_integrand's branches."""
     if abs(q) <= 0.7:
-        s = near_unit_loop(q, a, psi_one_minus_a)
-    else:
-        s, _ = _kernels.s_spike_direct(1.0 - q, a, 1e-16, 200000)
-    return cmath.exp(sqrt_b * c - g * cmath.log(t)) * s
+        return near_unit_loop(q, a, psi_one_minus_a)
+    s, _ = _kernels.s_spike_direct(1.0 - q, a, 1e-16, 200000)
+    return s
+
+
+def contour_g_point(y, c, x2, sqrt_b, g, a, psi_one_minus_a):
+    """The integrand at t = c + iy without its factor e^{i sqrt(B) y}."""
+    t = complex(c, y)
+    return (cmath.exp(sqrt_b * c - g * cmath.log(t))
+            * s_point(x2 / t, a, psi_one_minus_a))
 
 
 class TestHyp3F2UnitDisc:
@@ -331,20 +335,37 @@ class TestHyp3F2UnitDisc:
         _, status = _kernels.s_spike_near_unit(q, a, psi, 1e-16, 5)
         assert status == _kernels.STATUS_NO_CONVERGENCE
 
-    def test_contour_integrand_array_matches_points(self):
-        # |q| = 1.6/|2 + iy| spans both branches: direct sum for y < 1.1
-        x2, c, sqrt_b, g, a = 1.6, 2.0, 0.8, 2.5, 0.6
+    @pytest.mark.parametrize("a", [0.15, 0.6, 0.975])
+    def test_near_unit_accurate_near_w_zero(self, a):
+        # at the vertex of the contour w = 1 - q is small and S(w) ~ a w;
+        # the continuation must not lose digits to terms of size 1/(1-a)
+        mp = pytest.importorskip("mpmath")
         psi = _kernels.digamma_kernel(1.0 - a)
-        y = np.linspace(0.0, 40.0, 60).reshape(6, 10)
-        got = _kernels.contour_integrand(y, c, x2, sqrt_b, g, a, psi)
-        assert got.shape == y.shape
-        want = np.array([contour_g_point(v, c, x2, sqrt_b, g, a, psi)
-                         for v in y.ravel()]).reshape(y.shape)
+        q = 1.0 - (0.3 + 0.4 * np.linspace(0.0, 1.0, 9)) * np.exp(
+            1j * np.linspace(-0.8, 0.8, 9))
+        q = q[np.abs(q) <= 0.7]
+        got, status = _kernels.s_spike_near_unit(q, a, psi, 1e-16, 10000)
+        assert status == _kernels.STATUS_OK
+        for v, s in zip(q, got):
+            with mp.workdps(30):
+                w = 1 - mp.mpc(v.real, v.imag)
+                want = complex(a * w * mp.hyp3f2(1, 1, 1 + a, 2, 2, w))
+            assert abs(s - want) <= 1e-14 * abs(want)
+
+    def test_contour_integrand_array_matches_points(self):
+        # on the parabola t = 2 (1 + i theta)^2, |q| = 0.8/(1 + theta^2)
+        # spans both branches: direct sum for theta < 0.38
+        x2, c, a = 1.6, 2.0, 0.6
+        psi = _kernels.digamma_kernel(1.0 - a)
+        t = c * (1.0 + 1j * np.linspace(0.0, 6.0, 60).reshape(6, 10)) ** 2
+        got = _kernels.contour_integrand(t, x2, a, psi)
+        assert got.shape == t.shape
+        want = np.array([s_point(x2 / v, a, psi) for v in t.ravel()]).reshape(t.shape)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-        one = _kernels.contour_integrand(0.5, c, x2, sqrt_b, g, a, psi)
+        one = _kernels.contour_integrand(2.5 + 0.5j, x2, a, psi)
         assert one.shape == ()
         assert complex(one) == pytest.approx(
-            contour_g_point(0.5, c, x2, sqrt_b, g, a, psi), rel=1e-14)
+            s_point(x2 / (2.5 + 0.5j), a, psi), rel=1e-14)
 
 
 class TestPsi1Contour:
@@ -383,8 +404,8 @@ class TestPsi1Contour:
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     @pytest.mark.parametrize("x", [1.0, 2.0])
     def test_direct_branch_abscissa(self, alpha, x, monkeypatch):
-        # at c = 1.2 x^2, |q| = x^2/|c + iy| reaches 0.83 near y = 0, so those
-        # points take the direct sum; the default abscissa keeps |q| < 2/3
+        # at c = 1.2 x^2, |q| = x^2/|t| reaches 0.83 near the vertex t = c, so
+        # those points take the direct sum; the default vertex keeps |q| <= 2/3
         calls = []
         direct = _kernels.s_spike_direct
 
@@ -442,6 +463,16 @@ class TestPsi1Contour:
         (0.0, 1.0, 1.0, 1.0, -0.0198528987143157),
         # the series stops at its cap here, 3.6e-7 off
         (0.0, 1e-6, 1.0, 1.0, -0.100245871336945),
+        # gamma = 1.5 and 4 (A = 0 and 8.75), alpha from 0.3 to 1.95, the
+        # corners of perturb-scan's B and x; the first point, at
+        # sqrt(B) x^2 = 9, cancels from terms 15 000 times the sum
+        (0.0, 1.0, 1.2, 3.0, 0.02281349467652576),
+        (0.0, 0.25, 0.3, 0.25, -0.02522296228378499),
+        (0.0, 0.25, 1.95, 3.0, 0.1970793591200736),
+        (0.0, 1.0, 1.95, 0.25, -0.4664201226018412),
+        (8.75, 1.0, 1.95, 3.0, 0.02356523643226654),
+        (8.75, 0.25, 0.3, 3.0, 0.007935374204399917),
+        (8.75, 1.0, 0.3, 0.25, -0.0002349786822197268),
     ])
     def test_matches_30_digit_reference(self, A, B, alpha, x, want):
         """psi1 against 30-digit values of the same Bromwich integral, made
@@ -476,6 +507,27 @@ class TestPsi1Contour:
         except ConvergenceError:
             return
         assert abs(got - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("gamma, x, want", [
+        (10.0, 0.5, -2.56036160252281e-7),
+        (12.0, 0.5, -5.66070975138217e-9),
+        (18.0, 0.5, -2.49656575491164e-14),
+        (21.0, 1.0, -3.02140932196513e-11),
+    ])
+    def test_large_gamma_right(self, gamma, x, want):
+        """The default vertex c >= gamma/sqrt(B) is the saddle point of the
+        kernel e^{sqrt(B) t} t^{-gamma}, whose sum then does not cancel: the
+        points of test_large_gamma_right_or_refused come out right."""
+        got = perturb.psi1_contour(params_for_gamma(gamma, B=1.0, alpha=1.0), x)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("x", [4.0, 40.0])
+    def test_refused_past_reach(self, x):
+        # sqrt(B) x^2 = 16: the terms are e^{25} times the sum, so rounding
+        # alone exceeds the tolerance; at x = 40 the vertex value e^{2400}
+        # leaves double range
+        with pytest.raises(ConvergenceError):
+            perturb.psi1_contour(OscillatorParams(A=0.0, B=1.0, alpha=1.0), x)
 
 
 class TestWavefunSamples:

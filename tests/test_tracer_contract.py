@@ -47,12 +47,10 @@ def test_install_then_uninstall_restores_attributes(spans):
     try:
         kernels = sys.modules["spikedosc._kernels"]
         # contour_integrand reaches s_spike_* through module globals, so the
-        # counters see those calls; |q| = 0.8 / |1 + iy| is 0.57 at y = 1
-        # (continuation about w = 1) and 0.8 at y = 0 (direct sum)
-        kernels.contour_integrand(1.0, 1.0, 0.8, 1.0, 1.5, 0.5,
-                                  kernels.digamma_kernel(0.5))
-        kernels.contour_integrand(0.0, 1.0, 0.8, 1.0, 1.5, 0.5,
-                                  kernels.digamma_kernel(0.5))
+        # counters see those calls; |q| = 0.8 / |t| is 0.57 at t = 1 + i
+        # (continuation about w = 1) and 0.8 at t = 1 (direct sum)
+        kernels.contour_integrand(1.0 + 1.0j, 0.8, 0.5, kernels.digamma_kernel(0.5))
+        kernels.contour_integrand(1.0, 0.8, 0.5, kernels.digamma_kernel(0.5))
         assert tracer.counts["kernels.contour_integrand"] == 2
         assert tracer.counts["kernels.s_spike_near_unit"] == 1
         assert tracer.counts["kernels.s_spike_direct"] == 1
