@@ -26,7 +26,7 @@ from . import _kernels
 from .basis import OscillatorParams, energy_n
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      SlowConvergenceWarning)
-from .specfun import PFqParams, hyp_pfq_unit
+from .specfun import PFqParams, check_term_cap, hyp_pfq_unit
 from .spectrum import exact_ground_alpha2
 
 PSI1_SERIES_CAP = 100_000
@@ -53,20 +53,67 @@ class EnergySeries:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
+# Gamma(g - a)/Gamma(g) comes from the difference of lgamma values below
+# g - a = _STIRLING_FROM and from Stirling's series above, where the
+# coefficients B_2k / (2k (2k - 1)) of its first six terms leave under 1e-19.
+_STIRLING_FROM = 20.0
+_STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+                    1.0 / 1188.0, -691.0 / 360360.0)
+
+
+def _stirling_tail(z: float) -> float:
+    # ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2, for z >= _STIRLING_FROM
+    w = 1.0 / (z * z)
+    acc = 0.0
+    for c in reversed(_STIRLING_COEFFS):
+        acc = acc * w + c
+    return acc / z
+
+
+def _gamma_ratio(g: float, a: float, p: float) -> tuple[float, float]:
+    """(Gamma(g - a) / Gamma(g))^p for 0 < a < g, and a bound on its
+    relative rounding error in units of eps.
+
+    The difference of lgamma values is off by about an ulp of each value,
+    p (|ln Gamma(g - a)| + |ln Gamma(g)|) eps in all, which grows like
+    g ln g (the ratio is 1e-10 off at g = 1e5).  From g - a = 20 on,
+    Stirling's series gives the ratio as g^{-a} e^{r} with
+
+        r = a + (g - a - 1/2) log1p(-a/g) + tail(g - a) - tail(g),
+
+    whose terms stay of the order of a, so its error no longer grows
+    with g.  Where g^{-a p} would leave double range (a p ln g >= 700) the
+    power is exp(p r - a p ln g) instead, below e^{-450} since r < a + 1/2.
+    """
+    if g - a < _STIRLING_FROM:
+        lg_num, lg_den = math.lgamma(g - a), math.lgamma(g)
+        return math.exp(p * (lg_num - lg_den)), p * (abs(lg_num) + abs(lg_den))
+    r = a + (g - a - 0.5) * math.log1p(-a / g) + (_stirling_tail(g - a)
+                                                 - _stirling_tail(g))
+    # r is a sum of terms of size a or less, each off by a few ulps; the
+    # power, the exponential and the product add an ulp each
+    ulps = 3.0 + p * (4.0 * (a + abs(r)) + 1.0)
+    lead = a * p * math.log(g)
+    if lead < 700.0:
+        return g ** (-a * p) * math.exp(p * r), ulps
+    return math.exp(p * r - lead), ulps + lead
+
+
 def energy_series(params: OscillatorParams) -> EnergySeries:
     """Second-order weak-coupling energy expansion.
 
     c1 = B^{alpha/4} Gamma(gamma - alpha/2) / Gamma(gamma) requires
     alpha < 2 gamma; c2 carries a unit-argument 4F3 whose convergence margin
     is gamma + 1 - alpha, so a DivergenceError is raised for
-    alpha >= gamma + 1 (second order has no finite value there).
+    alpha >= gamma + 1 (second order has no finite value there).  The
+    Gamma ratio comes from :func:`_gamma_ratio`, which keeps its digits at
+    large gamma.
     """
     params.require_regular()
     g = params.gamma
     a2 = 0.5 * params.alpha
     E0 = energy_n(params, 0)
-    c1 = params.B ** (0.25 * params.alpha) * math.exp(
-        math.lgamma(g - a2) - math.lgamma(g))
+    c1 = params.B ** (0.25 * params.alpha) * _gamma_ratio(g, a2, 1.0)[0]
     if params.alpha >= g + 1.0:
         raise DivergenceError(
             f"second-order coefficient diverges for alpha = {params.alpha} "
@@ -74,14 +121,13 @@ def energy_series(params: OscillatorParams) -> EnergySeries:
             "convergence margin")
     f = hyp_pfq_unit(PFqParams(upper=(1.0, 1.0, a2 + 1.0, a2 + 1.0),
                                lower=(g + 1.0, 2.0, 2.0)))
-    lg_num, lg_den = math.lgamma(g - a2), math.lgamma(g)
+    ratio2, ratio2_ulps = _gamma_ratio(g, a2, 2.0)
     scale = (params.B ** (0.5 * (params.alpha - 1.0))
-             * params.alpha ** 2 / (16.0 * g)
-             * math.exp(2.0 * (lg_num - lg_den)))
+             * params.alpha ** 2 / (16.0 * g) * ratio2)
     c2 = -scale * f.value
-    # rounding of the scale: the lgamma values are off by about an ulp of
-    # their size, which the exponent doubles, and each product by an ulp
-    scale_ulps = 8.0 + 2.0 * (abs(lg_num) + abs(lg_den))
+    # rounding of the scale: that of the squared Gamma ratio, and an ulp for
+    # each power and product
+    scale_ulps = 8.0 + ratio2_ulps
     return EnergySeries(E0=E0, c1=c1, c2=c2,
                         c2_error=float(scale * f.error_estimate
                                        + scale_ulps * np.finfo(float).eps * abs(c2)))
@@ -149,9 +195,9 @@ def psi1_series(params: OscillatorParams, x: float,
     the cap; the sum stops once two consecutive means agree to
     1e-9 max(1, |mean|), at 4096 terms at the earliest (see
     :func:`spikedosc._kernels.psi1_sum`).  ``terms`` caps the number of
-    series terms and must be >= 1; a SlowConvergenceWarning giving the
-    terms used and the last checkpoint error estimate is emitted when the
-    cap is reached first.  That estimate is the gap between the last two
+    series terms and must be an integer >= 1; a SlowConvergenceWarning
+    giving the terms used and the last checkpoint error estimate is emitted
+    when the cap is reached first.  That estimate is the gap between the last two
     windowed means, not a bound: at gamma = 2, alpha = 2, sqrt(B) x^2 =
     0.145 the sum stops at 16 384 terms with a gap of 9.1e-10 while the
     mean is 4.5e-8 off the closed form.  A DomainError is raised unless
@@ -160,12 +206,11 @@ def psi1_series(params: OscillatorParams, x: float,
     recurrence to overflow.
     """
     _check_psi1_domain(params, x, allow_unproven)
-    if terms < 1:
-        raise DomainError(f"term cap must be >= 1, got {terms}")
+    terms = check_term_cap(terms)
     g = params.gamma
     a2 = 0.5 * params.alpha
     z = math.sqrt(params.B) * x * x
-    _, averaged, _, status, err = _kernels.psi1_sum(a2, g, z, int(terms))
+    _, averaged, _, status, err = _kernels.psi1_sum(a2, g, z, terms)
     if not math.isfinite(averaged):
         raise ConvergenceError(
             f"coefficient sum is not finite at x = {x} (sqrt(B) x^2 = {z:.6g}): "

@@ -10,6 +10,7 @@ a few tens.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,13 @@ PFQ_UNIT_CAP = 100_000
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == round(x)
+
+
+def check_term_cap(cap) -> int:
+    """``cap`` as an int; DomainError unless it is an integer >= 1."""
+    if not isinstance(cap, numbers.Integral) or cap < 1:
+        raise DomainError(f"term cap must be an integer >= 1, got {cap!r}")
+    return int(cap)
 
 
 def hyp_1f1(a: float, gamma: float, z: float, cap: int = SERIES_CAP) -> float:
@@ -141,7 +149,9 @@ def hyp_pfq_unit(params: PFqParams, cap: int = PFQ_UNIT_CAP) -> PFqUnitResult:
     algebraic tail is added by Hurwitz-zeta extrapolation, with a
     conservative error estimate reported alongside the value: the
     extrapolation's own estimate plus a floor for the rounding of the terms.
+    ``cap``, the most terms summed directly, must be an integer >= 1.
     """
+    cap = check_term_cap(cap)
     if params.argument != 1.0:
         raise DomainError("hyp_pfq_unit evaluates the series at z = 1 only")
     for a in params.upper:
@@ -161,9 +171,8 @@ def hyp_pfq_unit(params: PFqParams, cap: int = PFQ_UNIT_CAP) -> PFqUnitResult:
             "series diverges at unit argument: sum(lower) - sum(upper) = "
             f"{s} <= 0")
     total, nterms, terms = _kernels.pfq_unit_terms(
-        np.asarray(upper, dtype=float), np.asarray(lower, dtype=float),
-        float(s), 1e-14, int(cap))
-    tail, err = _tail_extrapolation(np.asarray(terms), s)
+        upper, lower, float(s), 1e-14, cap)
+    tail, err = _tail_extrapolation(terms, s)
     # rounding: the k-th term is a product of k rounded ratios, so it is off
     # by a relative k eps or so, and the tail fitted to the last terms by
     # nterms eps.  sum_k k |t_k| is the sum of the suffix sums of |t_k|,

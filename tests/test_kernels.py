@@ -1,12 +1,14 @@
-"""Numpy kernels against scalar loops that define them: the block-parallel
-psi1 series sum with its checkpointed windowed mean, and the Kummer z-grid."""
+"""Kernels against the loops that define them: the block-parallel psi1
+series sum with its checkpointed windowed mean, the Kummer z-grid, and the
+unit-argument pFq sum on Python floats against the same loop on numpy
+scalars."""
 
 import math
 
 import numpy as np
 import pytest
 
-from spikedosc import _kernels
+from spikedosc import _kernels, specfun
 
 
 def scalar_psi1_sum(a, g, z, cap):
@@ -190,3 +192,81 @@ class TestKummerGrid:
 
     def test_empty_grid(self):
         assert _kernels.kummer_grid(5, 1.5, np.empty(0)).shape == (0,)
+
+
+def numpy_scalar_pfq_unit_terms(uppers, lowers, s, rel_tol, cap):
+    """pfq_unit_terms as a loop over numpy float64 scalars, indexing the
+    parameter arrays at each term, kept as the oracle of the Python-float
+    loop."""
+    uppers = np.asarray(uppers, dtype=float)
+    lowers = np.asarray(lowers, dtype=float)
+    terms = np.empty(cap)
+    terms[0] = 1.0
+    total = 1.0
+    comp = 0.0
+    t = 1.0
+    nterms = 1
+    for k in range(cap - 1):
+        num = 1.0
+        for i in range(uppers.shape[0]):
+            num *= uppers[i] + k
+        den = k + 1.0
+        for j in range(lowers.shape[0]):
+            den *= lowers[j] + k
+        t *= num / den
+        terms[nterms] = t
+        nterms += 1
+        sm = total + t
+        if abs(total) >= abs(t):
+            comp += (total - sm) + t
+        else:
+            comp += (t - sm) + total
+        total = sm
+        if abs(t) * ((k + 1.0) / s) < rel_tol * abs(total):
+            break
+    return total + comp, nterms, terms[:nterms]
+
+
+def _energy_4f3(alpha, gamma):
+    """The parameters and margin of the 4F3(1) of energy_series."""
+    a = 0.5 * alpha
+    return (1.0, 1.0, a + 1.0, a + 1.0), (gamma + 1.0, 2.0, 2.0), gamma + 1.0 - alpha
+
+
+class TestPfqUnitTerms:
+    @pytest.mark.parametrize("uppers, lowers, s, cap, nterms", [
+        (*_energy_4f3(1.9, 1.5), 100_000, 100_000),  # reaches the cap
+        (*_energy_4f3(1.0, 3.0), 100_000, 59_453),  # stops early
+        # alpha = 2: the pairs a + 1 = 2 cancel, leaving 2F1(1, 1; gamma + 1; 1)
+        ((1.0, 1.0), (3.5,), 1.5, 100_000, None),
+        (*_energy_4f3(1.2, 2.5), 1, 1),
+        (*_energy_4f3(1.2, 2.5), 2, 2),
+        (*_energy_4f3(1.2, 2.5), 70, 70),
+    ], ids=["cap", "early-stop", "alpha2", "cap1", "cap2", "cap70"])
+    def test_bitwise_equal_to_numpy_scalar_loop(self, uppers, lowers, s, cap, nterms):
+        got = _kernels.pfq_unit_terms(uppers, lowers, s, 1e-14, cap)
+        want = numpy_scalar_pfq_unit_terms(uppers, lowers, s, 1e-14, cap)
+        assert type(got[0]) is float and type(got[1]) is int
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[2].shape == want[2].shape
+        assert np.array_equal(got[2], want[2])
+        if nterms is not None:
+            assert got[1] == nterms
+
+    def test_hyp_pfq_unit_works_on_the_returned_terms_in_place(self, monkeypatch):
+        # hyp_pfq_unit forms the suffix sums of |t_k| in the kernel's own
+        # array instead of a copy
+        returned = []
+        kernel = _kernels.pfq_unit_terms
+
+        def recorded(*args):
+            out = kernel(*args)
+            returned.append((out[2], out[2].copy()))
+            return out
+
+        monkeypatch.setattr(_kernels, "pfq_unit_terms", recorded)
+        uppers, lowers, _ = _energy_4f3(1.2, 2.5)
+        specfun.hyp_pfq_unit(specfun.PFqParams(upper=uppers, lower=lowers), cap=500)
+        [(terms, before)] = returned
+        assert np.array_equal(terms, np.cumsum(np.abs(before)[::-1])[::-1])

@@ -64,7 +64,7 @@ class TestEnergySeries:
         # below 1e-12 relative
         mp = pytest.importorskip("mpmath")
         for alpha in (0.5, 1.0, 1.5, 1.9):
-            for gamma in (1.5, 2.5, 4.0):
+            for gamma in (1.5, 2.5, 4.0, 50.0, 1e3, 1e5):
                 p = params_for_gamma(gamma, B=1.3, alpha=alpha)
                 es = perturb.energy_series(p)
                 assert type(es.c2) is float and type(es.c2_error) is float
@@ -75,6 +75,38 @@ class TestEnergySeries:
                             * (mp.gamma(g - a2) / mp.gamma(g)) ** 2 * f)
                     actual = float(abs(es.c2 - want))
                 assert actual <= es.c2_error <= 1e-12 * abs(es.c2), (alpha, gamma)
+
+    @pytest.mark.parametrize("gamma", [50.0, 1e3, 1e5, 1e7, 1e9])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+    def test_c1_at_large_gamma(self, gamma, alpha):
+        # a difference of lgamma values loses |ln Gamma(gamma)| eps: 1e-10 at
+        # gamma = 1e5, 3e-6 at 1e9
+        mp = pytest.importorskip("mpmath")
+        p = params_for_gamma(gamma, alpha=alpha)
+        with mp.workdps(60 + int(math.log10(p.gamma))):
+            g, a2 = mp.mpf(p.gamma), mp.mpf(alpha) / 2
+            want = mp.exp(mp.loggamma(g - a2) - mp.loggamma(g))
+        assert perturb.energy_series(p).c1 == pytest.approx(float(want), rel=1e-14)
+
+    def test_c1_past_double_range_of_lgamma(self):
+        # gamma = 1e150 + 1: both lgamma values round to the same double, so
+        # their difference would give c1 = 1
+        es = perturb.energy_series(OscillatorParams(A=1e300, B=1.0, alpha=1.0))
+        assert es.c1 == pytest.approx(1e-75, rel=1e-14)
+
+    def test_c1_where_the_power_leaves_double_range(self):
+        # gamma = 300, alpha = 250: gamma^{-alpha/2} is 1e-310, c1 = 1e-296
+        mp = pytest.importorskip("mpmath")
+        p = params_for_gamma(300.0, alpha=250.0)
+        with mp.workdps(40):
+            g = mp.mpf(p.gamma)
+            want = mp.exp(mp.loggamma(g - 125) - mp.loggamma(g))
+        assert perturb.energy_series(p).c1 == pytest.approx(float(want), rel=1e-12)
+
+    def test_refused_at_huge_alpha(self):
+        # gamma = 5000, alpha = 8000: Stirling's e^{r} alone would overflow
+        with pytest.raises(DivergenceError):
+            perturb.energy_series(params_for_gamma(5000.0, alpha=8000.0))
 
     def test_divergence_guard_boundary(self):
         for gamma in (1.5, 2.5):
@@ -138,6 +170,13 @@ class TestPsi1Series:
     def test_term_cap_below_one_refused(self, terms):
         p = OscillatorParams(A=0.0, B=1.0, alpha=1.0)
         with pytest.raises(DomainError):
+            perturb.psi1_series(p, 1.0, terms=terms)
+
+    @pytest.mark.parametrize("terms", [2.5, 4096.0, math.nan])
+    def test_term_cap_not_integer_refused(self, terms):
+        # unchecked, int(2.5) sums 2 terms without a word
+        p = OscillatorParams(A=0.0, B=1.0, alpha=1.0)
+        with pytest.raises(DomainError, match="integer >= 1"):
             perturb.psi1_series(p, 1.0, terms=terms)
 
     def test_unproven_regime_flag(self):

@@ -3,6 +3,7 @@ and algebraic property tests."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,20 @@ class TestPFqUnit:
         lo = specfun.hyp_pfq_unit(params, cap=2000)
         hi = specfun.hyp_pfq_unit(params, cap=4000)
         assert abs(hi.value - lo.value) <= lo.error_estimate + 1e-15
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, 3.0, math.nan, "100"])
+    def test_rejects_bad_cap(self, cap):
+        # unchecked, 0 raises an IndexError, -3 numpy's "negative dimensions",
+        # and int(2.5) sums 2 terms without a word
+        with pytest.raises(DomainError, match="integer >= 1"):
+            specfun.hyp_pfq_unit(specfun.PFqParams(upper=(1.0, 1.0), lower=(4.0,)),
+                                 cap=cap)
+
+    @pytest.mark.parametrize("cap", [1, 2, np.int64(70)])
+    def test_accepts_integer_cap(self, cap):
+        got = specfun.hyp_pfq_unit(specfun.PFqParams(upper=(1.0, 1.0), lower=(4.0,)),
+                                   cap=cap)
+        assert got.terms_used == cap
 
     def test_rejects_terminating_upper(self):
         with pytest.raises(DomainError):
