@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
+
+_EPS = float(np.finfo(float).eps)
 
 
 def gamma_of_A(A: float) -> float:
@@ -92,9 +94,37 @@ class BasisState:
         return energy_n(self.params, self.n)
 
 
+def scaled(what: str, value, B: float = 1.0, p: float = 0.0, log_terms=()):
+    """value e^{sum(log_terms)} B^p for a result computed at B = 1: a plain
+    value times B^p while that power is in range (exact at B = 1, and alike
+    for a scalar and each entry of an array), else sign(value) e^x with
+    x = ln|value| + sum(log_terms) + p ln B.  ConvergenceError, naming
+    ``what``, when rounding moves x by over 1e-8 (eps sum|term|: the terms
+    cancelled) or the result is not finite."""
+    terms = (p * math.log(B), *log_terms)
+    size = math.fsum(map(abs, terms))
+    if _EPS * size > 1e-8:
+        raise ConvergenceError(
+            f"{what}: its logarithm cancels from terms of size {size:.3e}")
+    v = np.asarray(value, dtype=float)
+    with np.errstate(all="ignore"):
+        if not log_terms and size < 700.0:
+            out = v * B ** p
+        else:
+            out = np.sign(v) * np.exp(np.log(np.abs(v)) + math.fsum(terms))
+    if not np.all(np.isfinite(out)):
+        raise ConvergenceError(f"{what} leaves double range at B = {B:.6g}")
+    return float(out) if out.ndim == 0 else out
+
+
 def energy_n(params: OscillatorParams, n: int) -> float:
     """Exact eigenenergy E_n = 2 sqrt(B) (2n + gamma)."""
-    return 2.0 * math.sqrt(params.B) * (2.0 * n + params.gamma)
+    return scaled("energy", 2.0 * (2.0 * n + params.gamma), params.B, 0.5)
+
+
+def _ln_norm(gamma: float, s: int) -> float:  # ln |T_s| at B = 1
+    return 0.5 * (math.log(2.0) + math.lgamma(s + gamma) - math.lgamma(s + 1.0)
+                  - 2.0 * math.lgamma(gamma))
 
 
 def norm_coeff(params: OscillatorParams, s: int) -> float:
@@ -102,32 +132,25 @@ def norm_coeff(params: OscillatorParams, s: int) -> float:
 
     T_s = (-1)^s sqrt(2 B^{gamma/2} Gamma(s + gamma) / (s! Gamma(gamma)^2)).
     """
-    g = params.gamma
-    ln = 0.5 * (math.log(2.0) + 0.5 * g * math.log(params.B)
-                + math.lgamma(s + g) - math.lgamma(s + 1.0) - 2.0 * math.lgamma(g))
-    sign = -1.0 if s % 2 else 1.0
-    return sign * math.exp(ln)
+    return scaled(f"normalization constant T_{s}", -1.0 if s % 2 else 1.0,
+                  params.B, 0.25 * params.gamma, (_ln_norm(params.gamma, s),))
 
 
 def eval_psi(state: BasisState, x: float) -> float:
-    """psi_n(x) for x > 0, with the envelope computed in log space."""
+    """psi_n(x) for x > 0."""
     if x <= 0.0:
         raise DomainError(f"eval_psi requires x > 0, got {x}")
-    p = state.params
-    sb = math.sqrt(p.B)
-    z = sb * x * x
-    env = math.exp((p.gamma - 0.5) * math.log(x) - 0.5 * z)
-    f = _kernels.kummer_terminating(state.n, p.gamma, z)
-    return norm_coeff(p, state.n) * env * f
+    return float(eval_psi_grid(state.params, state.n, np.array([x]))[0])
 
 
 def eval_psi_grid(params: OscillatorParams, n: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized psi_n over a grid of positive abscissae."""
+    """Vectorized psi_n over a grid of positive abscissae; T_n and the
+    envelope x^{gamma - 1/2} e^{-z/2} form one exponential."""
     xs = np.asarray(xs, dtype=float)
     if np.any(xs <= 0.0):
         raise DomainError("eval_psi_grid requires x > 0")
-    sb = math.sqrt(params.B)
-    zs = sb * xs * xs
-    env = np.exp((params.gamma - 0.5) * np.log(xs) - 0.5 * zs)
-    f = _kernels.kummer_grid(int(n), float(params.gamma), zs)
-    return norm_coeff(params, n) * env * f
+    g = params.gamma
+    zs = math.sqrt(params.B) * xs * xs
+    env = np.exp(_ln_norm(g, n) + 0.25 * g * math.log(params.B)
+                 + (g - 0.5) * np.log(xs) - 0.5 * zs)
+    return (-1.0 if n % 2 else 1.0) * env * _kernels.kummer_grid(int(n), float(g), zs)

@@ -10,7 +10,7 @@ expands them in polynomials orthogonal under exactly that weight, so the
 table factors as X = C C^T with the lower-triangular
 
     C[n, k] = (-1)^n D_n a_{n-k} w_k,
-    D_n = B^{alpha/8} sqrt(n! / Gamma(n + gamma)),
+    D_n = sqrt(n! / Gamma(n + gamma)),
     a_j = (alpha/2)_j / j!,
     w_k = sqrt(Gamma(k + gamma - alpha/2) / k!).
 
@@ -19,6 +19,8 @@ terms of X[m, n] = sum_{k<=min(m,n)} C[m, k] C[n, k] all carry the sign
 (-1)^{m+n}: nothing cancels, at any alpha and any index.  Only w_0 holds the
 Gamma(gamma - alpha/2) pole at alpha = 2 gamma, which gives the coupling
 paths of the "vestige" entries their finite limits.
+The factor is that of B = 1: under x = B^{-1/4} y each element is
+B^{alpha/4} times its B = 1 value, applied once per result.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .basis import OscillatorParams, energy_n
+from .basis import OscillatorParams, scaled
 from .errors import DomainError, PoleError
 
 
-def _factor(B: float, gamma: float, alpha: float, rows, K: int,
+def _factor(gamma: float, alpha: float, rows, K: int,
             lnw0: float | None = None) -> np.ndarray:
-    """Rows ``rows`` and columns k < K of the factor C (zero where k > n).
+    """Rows ``rows`` and columns k < K of C at B = 1 (zero where k > n).
 
     C[n, k] = (-1)^n exp(ln D_n + ln a_{n-k} + ln w_k).  ``lnw0`` replaces
     ln w_0 = ln Gamma(gamma - alpha/2) / 2, the one entry with a pole at
@@ -44,7 +46,6 @@ def _factor(B: float, gamma: float, alpha: float, rows, K: int,
     its own is bit-identical to the same row of the full factor.
     """
     a2 = 0.5 * alpha
-    lnb = 0.125 * alpha * math.log(B)
     lga2 = math.lgamma(a2)
     need = set()
     for n in rows:
@@ -55,18 +56,18 @@ def _factor(B: float, gamma: float, alpha: float, rows, K: int,
            for k in range(K)]
     C = np.zeros((len(rows), K))
     for i, n in enumerate(rows):
-        lnd = lnb + 0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + gamma))
+        lnd = 0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + gamma))
         sign = -1.0 if n % 2 else 1.0
         C[i, :min(n + 1, K)] = [sign * math.exp(lnd + lna[n - k] + lnw[k])
                                 for k in range(min(n + 1, K))]
     return C
 
 
-def _entry(B: float, gamma: float, alpha: float, m: int, n: int,
+def _entry(gamma: float, alpha: float, m: int, n: int,
            lnw0: float | None = None) -> float:
-    """sum_{k<=min(m,n)} C[m, k] C[n, k], in the ascending-k order of
-    :func:`build_table`."""
-    cm, cn = _factor(B, gamma, alpha, (m, n), min(m, n) + 1, lnw0).tolist()
+    """sum_{k<=min(m,n)} C[m, k] C[n, k] at B = 1, in the ascending-k order
+    of :func:`build_table`."""
+    cm, cn = _factor(gamma, alpha, (m, n), min(m, n) + 1, lnw0).tolist()
     total = 0.0
     for a, b in zip(cm, cn):
         total += a * b
@@ -79,7 +80,8 @@ def matrix_element(params: OscillatorParams, m: int, n: int) -> float:
     if m < 0 or n < 0:
         raise DomainError("matrix_element requires m, n >= 0")
     params.require_regular()
-    return _entry(params.B, params.gamma, params.alpha, m, n)
+    return scaled("matrix element", _entry(params.gamma, params.alpha, m, n),
+                  params.B, 0.25 * params.alpha)
 
 
 def matrix_element_alpha2(params: OscillatorParams, m: int, n: int) -> float:
@@ -95,11 +97,11 @@ def matrix_element_alpha2(params: OscillatorParams, m: int, n: int) -> float:
     lo, hi = (m, n) if m <= n else (n, m)
     lgl, _ = _kernels.lnpoch_signed(g, lo)
     lgh, _ = _kernels.lnpoch_signed(g, hi)
-    ln = (0.5 * math.log(params.B) - math.log(g - 1.0)
-          + 0.5 * (math.lgamma(hi + 1.0) - math.lgamma(lo + 1.0))
-          + 0.5 * (lgl + lgh) - lgh)
-    sign = -1.0 if (m + n) % 2 else 1.0
-    return sign * math.exp(ln)
+    return scaled("alpha = 2 matrix element", -1.0 if (m + n) % 2 else 1.0,
+                  params.B, 0.5,
+                  (-math.log(g - 1.0),
+                   0.5 * (math.lgamma(hi + 1.0) - math.lgamma(lo + 1.0)),
+                   0.5 * (lgl + lgh) - lgh))
 
 
 @dataclass(frozen=True)
@@ -148,23 +150,24 @@ def build_table(params: OscillatorParams, N: int) -> MatrixElementTable:
     if N < 1:
         raise DomainError(f"table dimension must be >= 1, got {N}")
     params.require_regular()
-    C = _factor(params.B, params.gamma, params.alpha, range(N), N)
+    C = _factor(params.gamma, params.alpha, range(N), N)
     values = np.zeros((N, N))
     for k in range(N):
         c = C[k:, k]
         values[k:, k:] += np.outer(c, c)
+    values = scaled("matrix elements", values, params.B, 0.25 * params.alpha)
     return MatrixElementTable(params=params, N=N, values=values)
 
 
 def build_hamiltonian(params: OscillatorParams, N: int) -> MatrixElementTable:
     """H_mn = 2 sqrt(B) (2n + gamma) delta_mn + lambda <m|x^{-alpha}|n>."""
+    energies = scaled("energies", 2.0 * (2.0 * np.arange(N) + params.gamma),
+                      params.B, 0.5)
     if params.lam == 0.0:
-        values = np.diag([energy_n(params, k) for k in range(N)]).astype(float)
-        return MatrixElementTable(params=params, N=N, values=values,
+        return MatrixElementTable(params=params, N=N, values=np.diag(energies),
                                   kind="hamiltonian")
-    table = build_table(params, N)
-    values = params.lam * table.values
-    values[np.diag_indices(N)] += [energy_n(params, k) for k in range(N)]
+    values = params.lam * build_table(params, N).values
+    values[np.diag_indices(N)] += energies
     return MatrixElementTable(params=params, N=N, values=values,
                               kind="hamiltonian")
 
@@ -186,16 +189,17 @@ def vestige_hamiltonian_entry(B: float, gamma: float, lam: float,
     alpha = 2.0 * (gamma - eps)
     if alpha <= 0.0:
         raise DomainError("path parameter too large: alpha <= 0")
-    diag = 2.0 * math.sqrt(B) * (2.0 * n + gamma) if m == n else 0.0
+    diag = scaled("energy", 2.0 * (2.0 * n + gamma), B, 0.5) if m == n else 0.0
     # w_0^2 = Gamma(eps) from eps itself, not from gamma - alpha/2, which
     # has lost the low digits of eps; lambda * Gamma(eps) stays finite.
-    return diag + lam * _entry(B, gamma, alpha, m, n, 0.5 * math.lgamma(eps))
+    entry = _entry(gamma, alpha, m, n, 0.5 * math.lgamma(eps))
+    return diag + lam * scaled("vestige element", entry, B, 0.25 * alpha)
 
 
 def vestige_limit_entry(B: float, gamma: float, m: int, n: int) -> float:
     """The lambda -> 0 limit of the linear vestige path: the diagonal
     2 sqrt(B) (2n + gamma) delta_mn plus the rank-one term C[m, 0] C[n, 0]
     at alpha = 2 gamma, with lambda Gamma(gamma - alpha/2) -> 1 in w_0."""
-    diag = 2.0 * math.sqrt(B) * (2.0 * n + gamma) if m == n else 0.0
-    cm, cn = _factor(B, gamma, 2.0 * gamma, (m, n), 1, lnw0=0.0)[:, 0]
-    return diag + float(cm * cn)
+    diag = scaled("energy", 2.0 * (2.0 * n + gamma), B, 0.5) if m == n else 0.0
+    cm, cn = _factor(gamma, 2.0 * gamma, (m, n), 1, lnw0=0.0)[:, 0]
+    return diag + scaled("vestige limit element", float(cm * cn), B, 0.5 * gamma)

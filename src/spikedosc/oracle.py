@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OscillatorParams, eval_psi_grid, norm_coeff
+from .basis import OscillatorParams, _ln_norm, eval_psi_grid, scaled
 from .errors import ConvergenceError, DomainError
 
 # 15-point Kronrod extension of 7-point Gauss (QUADPACK constants).
@@ -108,11 +108,12 @@ def _weighted_product_integral(params: OscillatorParams, m: int, n: int,
     """integral_0^inf psi_m(x) psi_n(x) x^{-alpha} dx.
 
     The integrand behaves like x^{2 gamma - 1 - alpha} at the origin; the
-    substitution x = t^p with p = 2/(2 gamma - alpha) maps it to O(t) there,
-    so plain adaptive panels converge quickly.  That region ends at the
-    classical turning point sqrt(2 gamma / sqrt(B)).  The tail is cut where
-    e^{-sqrt(B) x^2} x^{2(m+n) + 2 gamma - 1 - alpha} drops below ~1e-20,
-    which accounts for the polynomial growth of excited states.
+    substitution x = split s^p over s in [0, 1], with p = 2/(2 gamma - alpha),
+    maps it to O(s) there, so plain adaptive panels converge quickly.  That
+    region ends at the classical turning point split = sqrt(2 gamma / sqrt(B)).
+    The tail is cut where e^{-sqrt(B) x^2} x^{2(m+n) + 2 gamma - 1 - alpha}
+    drops below ~1e-20, which accounts for the polynomial growth of excited
+    states, and at least one oscillator length B^{-1/4} past the split.
     """
     g = params.gamma
     if alpha >= 2.0 * g:
@@ -126,7 +127,7 @@ def _weighted_product_integral(params: OscillatorParams, m: int, n: int,
     u = 60.0
     for _ in range(8):
         u = 46.0 + max(deg, 0.0) * math.log(u)
-    xmax = max(math.sqrt(u / sb), split + 1.0)
+    xmax = max(math.sqrt(u / sb), split + 1.0 / math.sqrt(sb))
 
     def fx(xs: np.ndarray) -> np.ndarray:
         return (eval_psi_grid(params, m, xs) * eval_psi_grid(params, n, xs)
@@ -134,12 +135,11 @@ def _weighted_product_integral(params: OscillatorParams, m: int, n: int,
 
     p = 2.0 / (2.0 * g - alpha)
 
-    def f_left(ts: np.ndarray) -> np.ndarray:
-        ts = np.maximum(ts, 1e-300)
-        xs = ts ** p
-        return p * ts ** (p - 1.0) * fx(xs)
+    def f_left(ss: np.ndarray) -> np.ndarray:
+        ss = np.maximum(ss, 1e-300)
+        return split * p * ss ** (p - 1.0) * fx(split * ss ** p)
 
-    v1, e1 = adaptive_quad(f_left, 0.0, split ** (1.0 / p))
+    v1, e1 = adaptive_quad(f_left, 0.0, 1.0)
     v2, e2 = adaptive_quad(fx, split, xmax)
     return v1 + v2, e1 + e2
 
@@ -182,7 +182,11 @@ def double_sum_matel(params: OscillatorParams, m: int, n: int) -> float:
             total += t
             t *= (l - n) * (g - a2 + k + l) / ((g + l) * (l + 1))
         tk *= (k - m) * (g - a2 + k) / ((g + k) * (k + 1))
-    pref = 0.5 * norm_coeff(params, m) * norm_coeff(params, n) \
-        * params.B ** (0.25 * params.alpha - 0.5 * params.gamma) \
-        * math.exp(math.lgamma(params.gamma - 0.5 * params.alpha))
+    # T_m T_n B^{alpha/4 - gamma/2} Gamma(gamma - alpha/2) / 2, with the
+    # powers of B in T_m T_n and in the prefactor joined into B^{alpha/4}
+    pref = scaled("double-sum prefactor", -1.0 if (m + n) % 2 else 1.0,
+                  params.B, 0.25 * params.alpha,
+                  (-math.log(2.0), _ln_norm(params.gamma, m),
+                   _ln_norm(params.gamma, n),
+                   math.lgamma(params.gamma - 0.5 * params.alpha)))
     return float(np.longdouble(pref) * total)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .basis import OscillatorParams, energy_n
+from .basis import OscillatorParams, energy_n, scaled
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      SlowConvergenceWarning)
 from .specfun import PFqParams, check_term_cap, hyp_pfq_unit
@@ -70,67 +70,65 @@ def _stirling_tail(z: float) -> float:
     return acc / z
 
 
-def _gamma_ratio(g: float, a: float, p: float) -> tuple[float, float]:
-    """(Gamma(g - a) / Gamma(g))^p for 0 < a < g, and a bound on its
-    relative rounding error in units of eps.
+def _ln_gamma_ratio(g: float, a: float, p: float) -> tuple[float, float]:
+    """p ln(Gamma(g - a) / Gamma(g)) for 0 < a < g, and a bound on its
+    absolute rounding error in units of eps.
 
     The difference of lgamma values is off by about an ulp of each value,
     p (|ln Gamma(g - a)| + |ln Gamma(g)|) eps in all, which grows like
     g ln g (the ratio is 1e-10 off at g = 1e5).  From g - a = 20 on,
-    Stirling's series gives the ratio as g^{-a} e^{r} with
+    Stirling's series gives the logarithm as p r - a p ln g with
 
         r = a + (g - a - 1/2) log1p(-a/g) + tail(g - a) - tail(g),
 
-    whose terms stay of the order of a, so its error no longer grows
-    with g.  Where g^{-a p} would leave double range (a p ln g >= 700) the
-    power is exp(p r - a p ln g) instead, below e^{-450} since r < a + 1/2.
+    whose terms stay of the order of a, so the error grows only like
+    a p ln g.
     """
     if g - a < _STIRLING_FROM:
         lg_num, lg_den = math.lgamma(g - a), math.lgamma(g)
-        return math.exp(p * (lg_num - lg_den)), p * (abs(lg_num) + abs(lg_den))
+        return p * (lg_num - lg_den), p * (abs(lg_num) + abs(lg_den))
     r = a + (g - a - 0.5) * math.log1p(-a / g) + (_stirling_tail(g - a)
                                                  - _stirling_tail(g))
-    # r is a sum of terms of size a or less, each off by a few ulps; the
-    # power, the exponential and the product add an ulp each
-    ulps = 3.0 + p * (4.0 * (a + abs(r)) + 1.0)
     lead = a * p * math.log(g)
-    if lead < 700.0:
-        return g ** (-a * p) * math.exp(p * r), ulps
-    return math.exp(p * r - lead), ulps + lead
+    # r is a sum of terms of size a or less, each off by a few ulps; ln g
+    # and the products add an ulp of the lead term each
+    return p * r - lead, p * (4.0 * (a + abs(r)) + 1.0) + 2.0 * lead + 1.0
 
 
 def energy_series(params: OscillatorParams) -> EnergySeries:
     """Second-order weak-coupling energy expansion.
 
     c1 = B^{alpha/4} Gamma(gamma - alpha/2) / Gamma(gamma) requires
-    alpha < 2 gamma; c2 carries a unit-argument 4F3 whose convergence margin
-    is gamma + 1 - alpha, so a DivergenceError is raised for
-    alpha >= gamma + 1 (second order has no finite value there).  The
-    Gamma ratio comes from :func:`_gamma_ratio`, which keeps its digits at
-    large gamma.
+    alpha < 2 gamma; c2 = -B^{(alpha-1)/2} alpha^2/(16 gamma)
+    (Gamma(gamma - alpha/2) / Gamma(gamma))^2 4F3(1) carries a
+    unit-argument 4F3 whose convergence margin is gamma + 1 - alpha, so a
+    DivergenceError is raised for alpha >= gamma + 1 (second order has no
+    finite value there).  The logarithm of the Gamma ratio comes from
+    :func:`_ln_gamma_ratio`, which keeps its digits at large gamma.
     """
     params.require_regular()
     g = params.gamma
     a2 = 0.5 * params.alpha
-    E0 = energy_n(params, 0)
-    c1 = params.B ** (0.25 * params.alpha) * _gamma_ratio(g, a2, 1.0)[0]
     if params.alpha >= g + 1.0:
         raise DivergenceError(
             f"second-order coefficient diverges for alpha = {params.alpha} "
             f">= gamma + 1 = {g + 1.0}: the 4F3(1) series has non-positive "
             "convergence margin")
+    E0 = energy_n(params, 0)
+    c1 = scaled("c1", 1.0, params.B, 0.25 * params.alpha,
+                (_ln_gamma_ratio(g, a2, 1.0)[0],))
     f = hyp_pfq_unit(PFqParams(upper=(1.0, 1.0, a2 + 1.0, a2 + 1.0),
                                lower=(g + 1.0, 2.0, 2.0)))
-    ratio2, ratio2_ulps = _gamma_ratio(g, a2, 2.0)
-    scale = (params.B ** (0.5 * (params.alpha - 1.0))
-             * params.alpha ** 2 / (16.0 * g) * ratio2)
-    c2 = -scale * f.value
-    # rounding of the scale: that of the squared Gamma ratio, and an ulp for
-    # each power and product
-    scale_ulps = 8.0 + ratio2_ulps
-    return EnergySeries(E0=E0, c1=c1, c2=c2,
-                        c2_error=float(scale * f.error_estimate
-                                       + scale_ulps * np.finfo(float).eps * abs(c2)))
+    ln_ratio2, ratio2_ulps = _ln_gamma_ratio(g, a2, 2.0)
+    p = 0.5 * (params.alpha - 1.0)
+    terms = (2.0 * math.log(params.alpha), -math.log(16.0 * g), ln_ratio2)
+    c2 = scaled("c2", -f.value, params.B, p, terms)
+    # each term of the exponent and ln B off by an ulp of itself, the Gamma
+    # ratio by its bound; the sum and the exponential add an ulp each
+    ulps = ratio2_ulps + 2.0 * (abs(math.log(f.value)) + abs(p * math.log(params.B))
+                                + sum(map(abs, terms)) + 1.0)
+    return EnergySeries(E0=E0, c1=c1, c2=c2, c2_error=abs(c2) * float(
+        f.error_estimate / f.value + ulps * np.finfo(float).eps))
 
 
 def energy_series_alpha2(params: OscillatorParams) -> EnergySeries:
@@ -139,9 +137,10 @@ def energy_series_alpha2(params: OscillatorParams) -> EnergySeries:
     if params.alpha != 2.0:
         raise DomainError(f"closed-form coefficients require alpha = 2, got {params.alpha}")
     g = params.gamma
-    sb = math.sqrt(params.B)
-    return EnergySeries(E0=energy_n(params, 0), c1=sb / (g - 1.0),
-                        c2=-sb / (4.0 * (g - 1.0) ** 3), c2_error=0.0)
+    return EnergySeries(E0=energy_n(params, 0),
+                        c1=scaled("c1", 1.0 / (g - 1.0), params.B, 0.5),
+                        c2=scaled("c2", -0.25 / (g - 1.0) ** 3, params.B, 0.5),
+                        c2_error=0.0)
 
 
 def energy_exact_alpha2(params: OscillatorParams) -> float:
@@ -157,14 +156,27 @@ def psi1_prefactor(params: OscillatorParams) -> float:
     P = -(1/(2 sqrt(2))) B^{(alpha + gamma)/4 - 1/2}
         Gamma(gamma - alpha/2) / Gamma(gamma)^{3/2}."""
     g = params.gamma
-    a2 = 0.5 * params.alpha
-    return -(0.5 / math.sqrt(2.0)) * params.B ** (0.25 * (params.alpha + g) - 0.5) \
-        * math.exp(math.lgamma(g - a2) - 1.5 * math.lgamma(g))
+    return scaled("psi1 prefactor", -1.0, params.B,
+                  0.25 * (params.alpha + g) - 0.5,
+                  (-1.5 * math.log(2.0), math.lgamma(g - 0.5 * params.alpha),
+                   -1.5 * math.lgamma(g)))
 
 
 def _envelope(params: OscillatorParams, x: float) -> float:
     z = math.sqrt(params.B) * x * x
     return x ** (params.gamma - 0.5) * math.exp(-0.5 * z)
+
+
+def _psi1_value(params: OscillatorParams, x: float, s: float) -> float:
+    """P x^{gamma-1/2} e^{-z/2} s, z = sqrt(B) x^2, as one exponential: in
+    oscillator units the factors other than the coefficient sum s are
+    -Gamma(gamma - alpha/2) Gamma(gamma)^{-3/2} z^{(gamma-1/2)/2}
+    e^{-z/2} / (2 sqrt(2)), and B enters as B^{1/8 + (alpha-2)/4}."""
+    g = params.gamma
+    z = math.sqrt(params.B) * x * x
+    return scaled(f"psi1 at x = {x}", -s, params.B, 0.25 * params.alpha - 0.375,
+                  (-1.5 * math.log(2.0), math.lgamma(g - 0.5 * params.alpha),
+                   -1.5 * math.lgamma(g), 0.5 * (g - 0.5) * math.log(z), -0.5 * z))
 
 
 def _check_x(x: float, what: str) -> None:
@@ -224,7 +236,7 @@ def psi1_series(params: OscillatorParams, x: float,
             f"like n^{a2 - 2.0:.3g}); returning the windowed mean of the "
             f"partial sums, {estimate}",
             SlowConvergenceWarning, stacklevel=2)
-    return psi1_prefactor(params) * _envelope(params, x) * averaged
+    return _psi1_value(params, x, averaged)
 
 
 def psi1_alpha2_closed(params: OscillatorParams, x: float) -> float:
@@ -239,13 +251,11 @@ def psi1_alpha2_closed(params: OscillatorParams, x: float) -> float:
     if g <= 1.0:
         raise DomainError(f"alpha = 2 closed form requires gamma > 1, got {g}")
     z = math.sqrt(params.B) * x * x
-    coeff = (0.5 / math.sqrt(2.0)) * params.B ** (0.25 * g) \
-        * math.exp(math.lgamma(g - 1.0) - 1.5 * math.lgamma(g))
-    return coeff * _envelope(params, x) * (math.log(z) - _kernels.digamma_kernel(g))
+    return _psi1_value(params, x, _kernels.digamma_kernel(g) - math.log(z))
 
 
-# The trapezoid rule on the parabola runs to where |e^{sqrt(B) t}| has fallen
-# by e^{-_PARABOLA_DECAY} below its value at the vertex, in steps no longer
+# The trapezoid rule on the parabola runs to where |e^{tau}| has fallen by
+# e^{-_PARABOLA_DECAY} below its value at the vertex, in steps no longer
 # than _MAX_STEP.
 _PARABOLA_DECAY = 41.5
 _MAX_STEP = 3.0 / 32.0
@@ -253,39 +263,39 @@ _MAX_STEP = 3.0 / 32.0
 
 def coefficient_sum_contour(params: OscillatorParams, x: float,
                             c: float | None = None) -> float:
-    """sum_{n>=1} (alpha/2)_n / (n n!) 1F1(-n, gamma, sqrt(B) x^2) via an
-    inverse-Laplace contour that crosses the real axis at t = c.
+    """sum_{n>=1} (alpha/2)_n / (n n!) 1F1(-n, gamma, z), z = sqrt(B) x^2, via
+    an inverse-Laplace contour that crosses the real axis at t = c.
 
-    The sum equals K/(2 pi i) Int e^{sqrt(B) t} t^{-gamma} S(1 - x^2/t) dt
-    along the Bromwich line Re t = c, K = B^{(1-gamma)/2} Gamma(gamma), with
+    In oscillator units, tau = sqrt(B) t and v = sqrt(B) c, the sum equals
+    Gamma(gamma)/(2 pi i) Int e^{tau} tau^{-gamma} S(1 - z/tau) dtau along
+    the Bromwich line Re tau = v, with
     S(w) = (alpha/2) w 3F2(1,1,1+alpha/2; 2,2; w): the average of S under
-    the kernel e^{sqrt(B) t} t^{-gamma}, whose own integral is 2 pi i/K.
-    The integrand is analytic off t in (-inf, 0]: the cut of S at
-    q = x^2/t in (-inf, 0] lies there too.  So the line deforms to the
-    parabola t(theta) = c (1 + i theta)^2 of Weideman & Trefethen (Math.
-    Comp. 76 (2007) 1341), which has its vertex at c and wraps the cut, and
-    along which the integrand decays like e^{-sqrt(B) c theta^2}.  In theta
-    both t^{-gamma} and S are analytic in the strip |Im theta| < 1, so the
+    the kernel e^{tau} tau^{-gamma}, whose own integral is 2 pi i/Gamma(gamma).
+    The integrand is analytic off tau in (-inf, 0]: the cut of S at
+    q = z/tau in (-inf, 0] lies there too.  So the line deforms to the
+    parabola tau(theta) = v (1 + i theta)^2 of Weideman & Trefethen (Math.
+    Comp. 76 (2007) 1341), which has its vertex at v and wraps the cut, and
+    along which the integrand decays like e^{-v theta^2}.  In theta both
+    tau^{-gamma} and S are analytic in the strip |Im theta| < 1, so the
     trapezoid rule converges geometrically: with conjugate symmetry,
 
-        sum = K (2 c h/pi) Re sum_k' e^{sqrt(B) t_k} t_k^{-gamma}
-              S(1 - x^2/t_k) (1 + i theta_k),   theta_k = k h,
+        sum = Gamma(gamma) (2 v h/pi) Re sum_k' e^{tau_k} tau_k^{-gamma}
+              S(1 - z/tau_k) (1 + i theta_k),   theta_k = k h,
 
-    half weight at k = 0, up to theta = sqrt(1 + 41.5/(sqrt(B) c)), where
-    |e^{sqrt(B) t}| has fallen by e^{-41.5} below its value at the vertex.
-    The step is h = pi/(4 N sqrt(B) c) with the least integer N that makes
-    h <= 3/32 (N = 1 from sqrt(B) c = 8 pi/3 on).  Then the phase
-    2 sqrt(B) c theta_k of e^{sqrt(B) t_k} is k pi/(2N), reduced exactly,
-    and the kernel is summed over its vertex value e^{sqrt(B) c} c^{-gamma},
-    whose rounding is thus common to all nodes.  The default c takes 28-66
-    nodes on the perturb-scan and cli-cold draws of perfbench, all in one
-    call of :func:`_kernels.contour_integrand`.
+    half weight at k = 0, up to theta = sqrt(1 + 41.5/v), where |e^{tau}|
+    has fallen by e^{-41.5} below its value at the vertex.  The step is
+    h = pi/(4 N v) with the least integer N that makes h <= 3/32 (N = 1
+    from v = 8 pi/3 on).  Then the phase 2 v theta_k of e^{tau_k} is
+    k pi/(2N), reduced exactly, and the kernel is summed over its vertex
+    value e^{v} v^{-gamma}, whose rounding is thus common to all nodes.  The
+    default c takes 28-66 nodes on the perturb-scan and cli-cold draws of
+    perfbench, all in one call of :func:`_kernels.contour_integrand`.
 
     c must exceed x^2, which keeps |q| <= x^2/c < 1 on the contour.  The
-    default c = max(1.5 x^2 + 1/sqrt(B), gamma/sqrt(B)) keeps |q| <= 2/3
-    and sqrt(B) c, and with it the cancellation in the sum, small; its
-    second term puts the vertex at the saddle point of the kernel, so the
-    kernel does not cancel at large gamma.
+    default v = max(1.5 z + 1, gamma) keeps |q| <= 2/3 and v, and with it
+    the cancellation in the sum, small; its second term puts the vertex at
+    the saddle point of the kernel, so the kernel does not cancel at large
+    gamma.
 
     The error estimate, in units of the returned sum, adds rounding, 50 ulps
     of the same sum of |Re integrand|, from which the terms cancel down to
@@ -295,35 +305,28 @@ def coefficient_sum_contour(params: OscillatorParams, x: float,
     or is not a number, and when the vertex value leaves double range.
     """
     _check_x(x, "contour evaluation")
-    x2 = x * x
+    if c is not None and c <= x * x:
+        raise DomainError(f"contour abscissa must satisfy c > x^2 ({c} <= {x * x})")
     g = params.gamma
     a2 = 0.5 * params.alpha
     sb = math.sqrt(params.B)
-    if c is None:
-        c = max(1.5 * x2 + 1.0 / sb, g / sb)
-    if c <= x2:
-        raise DomainError(f"contour abscissa must satisfy c > x^2 ({c} <= {x2})")
-    sbc = sb * c
-    N = math.ceil(math.pi / (4.0 * _MAX_STEP * sbc))
-    h = math.pi / (4.0 * N * sbc)
-    k = np.arange(math.ceil(math.sqrt(1.0 + _PARABOLA_DECAY / sbc) / h) + 1.0)
+    z = sb * x * x
+    v = max(1.5 * z + 1.0, g) if c is None else sb * c
+    N = math.ceil(math.pi / (4.0 * _MAX_STEP * v))
+    h = math.pi / (4.0 * N * v)
+    k = np.arange(math.ceil(math.sqrt(1.0 + _PARABOLA_DECAY / v) / h) + 1.0)
     theta = h * k
-    z = 1.0 + 1j * theta
-    # e^{sqrt(B) t} t^{-gamma} (1 + i theta) over e^{sqrt(B) c} c^{-gamma}
-    kern = (np.exp(-sbc * theta * theta - (2.0 * g - 1.0) * np.log(z))
+    w = 1.0 + 1j * theta
+    # e^{tau} tau^{-gamma} (1 + i theta) over e^{v} v^{-gamma}
+    kern = (np.exp(-v * theta * theta - (2.0 * g - 1.0) * np.log(w))
             * np.exp(1j * math.pi / (2 * N) * (k % (4 * N))))
     f = (kern * _kernels.contour_integrand(
-        c * z * z, x2, a2, _kernels.digamma_kernel(1.0 - a2))).real
+        v * w * w, z, a2, _kernels.digamma_kernel(1.0 - a2))).real
     kern = kern.real
     f[0] *= 0.5
     kern[0] *= 0.5
-    log_scale = (sbc - g * math.log(c) + 0.5 * (1.0 - g) * math.log(params.B)
-                 + math.lgamma(g))
-    if log_scale > 700.0:
-        raise ConvergenceError(
-            f"contour quadrature at x = {x} cancels from e^{log_scale:.4g}, "
-            "beyond double range")
-    scale = math.exp(log_scale) * 2.0 * c * h / math.pi
+    scale = scaled(f"contour vertex value at x = {x}", 2.0 * v * h / math.pi,
+                   log_terms=(v, -g * math.log(v), math.lgamma(g)))
     total = scale * math.fsum(f.tolist())
     err = scale * 50.0 * np.finfo(float).eps * float(np.abs(f).sum())
     err += abs(scale * math.fsum(kern.tolist()) - 1.0) * max(1.0, abs(total))
@@ -349,8 +352,7 @@ def psi1_contour(params: OscillatorParams, x: float,
             f"contour route requires alpha < 2 (got {params.alpha}); "
             "use psi1_alpha2_closed at alpha = 2")
     _check_psi1_domain(params, x, allow_unproven=False)
-    s = coefficient_sum_contour(params, x, c=c)
-    return psi1_prefactor(params) * _envelope(params, x) * s
+    return _psi1_value(params, x, coefficient_sum_contour(params, x, c=c))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ a few tens.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -149,7 +150,8 @@ def hyp_pfq_unit(params: PFqParams, cap: int = PFQ_UNIT_CAP) -> PFqUnitResult:
     algebraic tail is added by Hurwitz-zeta extrapolation, with a
     conservative error estimate reported alongside the value: the
     extrapolation's own estimate plus a floor for the rounding of the terms.
-    ``cap``, the most terms summed directly, must be an integer >= 1.
+    ``cap``, the most terms summed directly, must be an integer >= 1.  A
+    ConvergenceError is raised when the direct sum leaves double range.
     """
     cap = check_term_cap(cap)
     if params.argument != 1.0:
@@ -172,6 +174,12 @@ def hyp_pfq_unit(params: PFqParams, cap: int = PFQ_UNIT_CAP) -> PFqUnitResult:
             f"{s} <= 0")
     total, nterms, terms = _kernels.pfq_unit_terms(
         upper, lower, float(s), 1e-14, cap)
+    if not math.isfinite(total):
+        raise ConvergenceError(
+            f"unit-argument series {len(params.upper)}F{len(params.lower)}"
+            f"({', '.join(map(str, params.upper))}; "
+            f"{', '.join(map(str, params.lower))}; 1) left double range "
+            f"after {nterms} terms")
     tail, err = _tail_extrapolation(terms, s)
     # rounding: the k-th term is a product of k rounded ratios, so it is off
     # by a relative k eps or so, and the tail fitted to the last terms by

@@ -3,7 +3,8 @@
 Diagonalizing the basis-projected N x N Hamiltonian gives eigenvalues that
 are upper bounds to the true spectrum and non-increasing in N (Cauchy
 interlacing), so sweeping N gives certified, systematically improvable
-bounds.
+bounds.  Under x = B^{-1/4} y, H is sqrt(B) times H at B = 1 with the
+coupling lambda B^{(alpha-2)/4}, and that one is diagonalised.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OscillatorParams
+from .basis import OscillatorParams, scaled
 from .errors import ConvergenceError, DomainError
 from .matel import build_hamiltonian
 
@@ -92,13 +93,17 @@ def variational_sweep(params: OscillatorParams,
         raise DomainError("N_list must be non-empty")
     if any(n < 1 for n in ns) or ns != sorted(ns):
         raise DomainError(f"N_list must be ascending positive dimensions, got {ns}")
-    big = build_hamiltonian(params, ns[-1]).values
+    lam = scaled("lambda B^{(alpha-2)/4}", params.lam, params.B,
+                 0.25 * params.alpha - 0.5)
+    big = build_hamiltonian(OscillatorParams(params.A, 1.0, params.alpha, lam),
+                            ns[-1]).values
     out = []
     for n in ns:
         H = big[:n, :n]
         evals, evecs = eigensolve_symmetric(H)
-        out.append(SpectrumResult(params=params, N=n, eigenvalues=evals,
-                                  residual_norm=_residual_norm(H, evals, evecs)))
+        out.append(SpectrumResult(params=params, N=n, eigenvalues=scaled(
+            "Ritz values", evals, params.B, 0.5), residual_norm=scaled(
+            "residual norm", _residual_norm(H, evals, evecs), params.B, 0.5)))
     return out
 
 
@@ -118,4 +123,4 @@ def exact_ground_alpha2(B: float, A: float, lam: float) -> float:
     where the spike merely shifts the singular-core strength."""
     if A + lam < 0.0:
         raise DomainError("exact alpha = 2 energy requires A + lambda >= 0")
-    return math.sqrt(B) * (2.0 + math.sqrt(1.0 + 4.0 * (A + lam)))
+    return scaled("energy", 2.0 + math.sqrt(1.0 + 4.0 * (A + lam)), B, 0.5)

@@ -128,7 +128,7 @@ class TestEvalPsi:
 
 class TestOrthonormality:
     @pytest.mark.parametrize("A", [0.0, 1.0, 5.0])
-    @pytest.mark.parametrize("B", [1.0, 4.0])
+    @pytest.mark.parametrize("B", [1e-6, 1.0, 4.0, 1e6])
     def test_gram_matrix(self, A, B):
         p = OscillatorParams(A=A, B=B, alpha=1.0)
         worst = 0.0

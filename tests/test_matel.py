@@ -272,3 +272,29 @@ class TestHighPrecision:
             # the reference must not move when the precision is raised
             assert abs(self.reference(p, m, n, 120) - want) <= 1e-20 * abs(want)
             assert matel.matrix_element(p, m, n) == pytest.approx(float(want), rel=1e-12)
+
+
+class TestScaleB:
+    """Under x = B^{-1/4} y every element is B^{alpha/4} times its value at
+    B = 1; the table is checked against the double sum and against
+    quadrature in x at the given B, which apply no such law."""
+
+    @pytest.mark.parametrize("B", [1e-6, 1e6])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.9])
+    def test_table_against_oracles(self, B, alpha):
+        p = params_for_gamma(2.5, B=B, alpha=alpha)
+        X = matel.build_table(p, 6).values
+        for m in range(6):
+            for n in range(m, 6):
+                want = oracle.double_sum_matel(p, m, n)
+                assert X[m, n] == pytest.approx(want, rel=1e-11)
+        for m, n in ((0, 0), (3, 1), (5, 5)):
+            assert X[m, n] == pytest.approx(oracle.matel_quadrature(p, m, n),
+                                            rel=1e-8)
+
+    @pytest.mark.parametrize("B", [1e-6, 1e6])
+    def test_alpha2_closed_form_law(self, B):
+        p, p1 = (OscillatorParams(A=2.0, B=b, alpha=2.0) for b in (B, 1.0))
+        for m, n in ((0, 0), (4, 2), (7, 7)):
+            assert matel.matrix_element_alpha2(p, m, n) == pytest.approx(
+                math.sqrt(B) * matel.matrix_element_alpha2(p1, m, n), rel=1e-14)

@@ -23,7 +23,7 @@ def params_for_gamma(gamma, B=1.0, alpha=1.0, lam=0.0):
 
 class TestEnergySeries:
     @pytest.mark.parametrize("gamma", [1.5, 2.5, 4.0])
-    @pytest.mark.parametrize("B", [1.0, 4.0])
+    @pytest.mark.parametrize("B", [1e-6, 1.0, 4.0, 1e6])
     def test_alpha2_closed_form_agreement(self, gamma, B):
         p = params_for_gamma(gamma, B=B, alpha=2.0)
         got = perturb.energy_series(p)
@@ -590,3 +590,53 @@ class TestWavefunSamples:
         p = OscillatorParams(A=0.0, B=1.0, alpha=1.0)
         with pytest.raises(DomainError):
             perturb.wavefun_samples(p, [1.0], method="magic")
+
+
+class TestScaleB:
+    """c1, c2 and psi1 at B far from 1 against mpmath at that B: the
+    results are computed at B = 1 and take B^{alpha/4}, B^{(alpha-1)/2}
+    and B^{1/8 + (alpha-2)/4} once."""
+
+    @pytest.mark.parametrize("B", [1e-6, 1e6])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_energy_coefficients(self, B, alpha):
+        mp = pytest.importorskip("mpmath")
+        p = params_for_gamma(2.5, B=B, alpha=alpha)
+        es = perturb.energy_series(p)
+        with mp.workdps(30):
+            g, a2, b = mp.mpf(p.gamma), mp.mpf(p.alpha) / 2, mp.mpf(p.B)
+            ratio = mp.gamma(g - a2) / mp.gamma(g)
+            f = mp.hyper([1, 1, a2 + 1, a2 + 1], [2, 2, g + 1], 1)
+            c1 = b ** (a2 / 2) * ratio
+            c2 = -b ** (a2 - mp.mpf(1) / 2) * a2 ** 2 / (4 * g) * ratio ** 2 * f
+        assert es.E0 == pytest.approx(2.0 * math.sqrt(B) * p.gamma, rel=1e-15)
+        assert es.c1 == pytest.approx(float(c1), rel=1e-14)
+        assert abs(es.c2 - float(c2)) <= es.c2_error <= 1e-12 * abs(es.c2)
+
+    @pytest.mark.parametrize("B", [1e-6, 1e6])
+    def test_psi1_alpha2(self, B):
+        mp = pytest.importorskip("mpmath")
+        p = params_for_gamma(2.5, B=B, alpha=2.0)
+        for y in (0.3, 1.0, 2.5):
+            x = y / B ** 0.25
+            with mp.workdps(30):
+                g, b, xm = mp.mpf(p.gamma), mp.mpf(p.B), mp.mpf(x)
+                z = mp.sqrt(b) * xm ** 2
+                want = (b ** (g / 4) / (2 * mp.sqrt(2)) * mp.gamma(g - 1)
+                        / mp.gamma(g) ** 1.5 * xm ** (g - mp.mpf(1) / 2)
+                        * mp.exp(-z / 2) * (mp.log(z) - mp.digamma(g)))
+            assert perturb.psi1_alpha2_closed(p, x) == pytest.approx(
+                float(want), rel=1e-12)
+
+    def test_psi1_at_gamma_1000(self):
+        # near the peak of psi0 at gamma = 1000 the prefactor alone is
+        # e^{-3460} and x^{gamma - 1/2} alone e^{3450}: only their joined
+        # exponent is in double range.  Reference: 40 digits (mpmath).
+        want = -3.7642337766691253e-6
+        p = params_for_gamma(1000.0, alpha=1.0)
+        got = perturb.psi1_series(p, 31.6)
+        assert got == pytest.approx(want, rel=1e-10)
+        # the same point at B = 4, y = B^{1/4} x unchanged: B^{1/8 + (alpha-2)/4}
+        p4 = params_for_gamma(1000.0, B=4.0, alpha=1.0)
+        assert perturb.psi1_series(p4, 31.6 / math.sqrt(2.0)) == pytest.approx(
+            4.0 ** -0.125 * got, rel=1e-12)
