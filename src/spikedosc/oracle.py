@@ -108,12 +108,16 @@ def _weighted_product_integral(params: OscillatorParams, m: int, n: int,
     """integral_0^inf psi_m(x) psi_n(x) x^{-alpha} dx.
 
     The integrand behaves like x^{2 gamma - 1 - alpha} at the origin; the
-    substitution x = split s^p over s in [0, 1], with p = 2/(2 gamma - alpha),
+    substitution x = split s^p over s in [0, 1], p = 2/(2 gamma - alpha),
     maps it to O(s) there, so plain adaptive panels converge quickly.  That
     region ends at the classical turning point split = sqrt(2 gamma / sqrt(B)).
-    The tail is cut where e^{-sqrt(B) x^2} x^{2(m+n) + 2 gamma - 1 - alpha}
-    drops below ~1e-20, which accounts for the polynomial growth of excited
-    states, and at least one oscillator length B^{-1/4} past the split.
+    Above 2 gamma - alpha = 8, p stays at 1/4: the integrand vanishes faster
+    than s at the origin anyway, and the peak of psi^2, near split/sqrt(2),
+    stays at s = 1/4 instead of 2^{-(gamma - alpha/2)/2}, where no panel
+    would sample it.  The tail is cut where
+    e^{-sqrt(B) x^2} x^{2(m+n) + 2 gamma - 1 - alpha} drops below ~1e-20,
+    which accounts for the polynomial growth of excited states, and at least
+    one oscillator length B^{-1/4} past the split.
     """
     g = params.gamma
     if alpha >= 2.0 * g:
@@ -133,7 +137,7 @@ def _weighted_product_integral(params: OscillatorParams, m: int, n: int,
         return (eval_psi_grid(params, m, xs) * eval_psi_grid(params, n, xs)
                 * xs ** (-alpha))
 
-    p = 2.0 / (2.0 * g - alpha)
+    p = max(2.0 / (2.0 * g - alpha), 0.25)
 
     def f_left(ss: np.ndarray) -> np.ndarray:
         ss = np.maximum(ss, 1e-300)
@@ -182,8 +186,8 @@ def double_sum_matel(params: OscillatorParams, m: int, n: int) -> float:
             total += t
             t *= (l - n) * (g - a2 + k + l) / ((g + l) * (l + 1))
         tk *= (k - m) * (g - a2 + k) / ((g + k) * (k + 1))
-    # T_m T_n B^{alpha/4 - gamma/2} Gamma(gamma - alpha/2) / 2, with the
-    # powers of B in T_m T_n and in the prefactor joined into B^{alpha/4}
+    # T_m T_n B^{alpha/4 - gamma/2} Gamma(gamma - alpha/2) / 2, whose powers
+    # of B join into B^{alpha/4}
     pref = scaled("double-sum prefactor", -1.0 if (m + n) % 2 else 1.0,
                   params.B, 0.25 * params.alpha,
                   (-math.log(2.0), _ln_norm(params.gamma, m),

@@ -74,6 +74,15 @@ class TestOverlap:
         with pytest.raises(DomainError):
             oracle.overlap(p, -1, 0)
 
+    @pytest.mark.parametrize("B", [1.0, 1e300])
+    def test_large_gamma(self, B):
+        # gamma = 1001: under x = split s^{1/gamma} the peak of psi^2 would
+        # sit at s = 2^{-500}, out of sight of every panel, and T_n alone is
+        # e^{-2950} at B = 1
+        p = OscillatorParams(A=1e6, B=B, alpha=0.5)
+        for m, n in ((0, 0), (3, 3), (0, 1), (3, 2)):
+            assert oracle.overlap(p, m, n) == pytest.approx(float(m == n), abs=1e-10)
+
 
 class TestMatelQuadrature:
     def test_ground_alpha2(self):
