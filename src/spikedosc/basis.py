@@ -96,11 +96,11 @@ class BasisState:
 
 def scaled(what: str, value, B: float = 1.0, p: float = 0.0, log_terms=()):
     """value e^{sum(log_terms)} B^p for a result computed at B = 1: a plain
-    value times B^p while that power is in range (exact at B = 1, and alike
-    for a scalar and each entry of an array), else sign(value) e^x with
+    value times B^p while that power is in range (exact at B = 1, alike for
+    a scalar and each entry of an array), else sign(value) e^x with
     x = ln|value| + sum(log_terms) + p ln B.  ConvergenceError, naming
-    ``what``, when rounding moves x by over 1e-8 (eps sum|term|: the terms
-    cancelled) or the result is not finite."""
+    ``what``, when the terms of x cancel (rounding eps sum|term| > 1e-8) or
+    the result is not finite."""
     terms = (p * math.log(B), *log_terms)
     size = math.fsum(map(abs, terms))
     if _EPS * size > 1e-8:

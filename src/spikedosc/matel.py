@@ -98,10 +98,8 @@ def matrix_element_alpha2(params: OscillatorParams, m: int, n: int) -> float:
     lgl, _ = _kernels.lnpoch_signed(g, lo)
     lgh, _ = _kernels.lnpoch_signed(g, hi)
     return scaled("alpha = 2 matrix element", -1.0 if (m + n) % 2 else 1.0,
-                  params.B, 0.5,
-                  (-math.log(g - 1.0),
-                   0.5 * (math.lgamma(hi + 1.0) - math.lgamma(lo + 1.0)),
-                   0.5 * (lgl + lgh) - lgh))
+                  params.B, 0.5, (-math.log(g - 1.0), 0.5 * (lgl + lgh) - lgh,
+                                  0.5 * (math.lgamma(hi + 1.0) - math.lgamma(lo + 1.0))))
 
 
 @dataclass(frozen=True)
@@ -164,12 +162,11 @@ def build_hamiltonian(params: OscillatorParams, N: int) -> MatrixElementTable:
     energies = scaled("energies", 2.0 * (2.0 * np.arange(N) + params.gamma),
                       params.B, 0.5)
     if params.lam == 0.0:
-        return MatrixElementTable(params=params, N=N, values=np.diag(energies),
-                                  kind="hamiltonian")
-    values = params.lam * build_table(params, N).values
-    values[np.diag_indices(N)] += energies
-    return MatrixElementTable(params=params, N=N, values=values,
-                              kind="hamiltonian")
+        values = np.diag(energies)
+    else:
+        values = params.lam * build_table(params, N).values
+        values[np.diag_indices(N)] += energies
+    return MatrixElementTable(params=params, N=N, values=values, kind="hamiltonian")
 
 
 def vestige_hamiltonian_entry(B: float, gamma: float, lam: float,

@@ -10,7 +10,8 @@ the first-order correction
 evaluated three ways: direct summation, the alpha = 2 logarithmic closed
 form, and (for alpha < 2) an inverse-Laplace contour integral that converts
 the slowly converging sum into a rapidly convergent one, evaluated in numpy
-by one trapezoid sum on a parabola that wraps the branch cut.
+by one trapezoid sum on a parabola that wraps the branch cut.  Each result
+is formed at B = 1 and takes its power of B once, through :func:`scaled`.
 """
 
 from __future__ import annotations
