@@ -112,7 +112,7 @@ def scaled(what: str, value, B: float = 1.0, p: float = 0.0, log_terms=()):
             out = v * B ** p
         else:
             out = np.sign(v) * np.exp(np.log(np.abs(v)) + math.fsum(terms))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ConvergenceError(f"{what} leaves double range at B = {B:.6g}")
     return float(out) if out.ndim == 0 else out
 
